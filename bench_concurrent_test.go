@@ -8,9 +8,6 @@ package bmeh
 // index's RLock and a pool shard's RLock — the configuration the paper's
 // ≤3-accesses-per-probe claim cares about under load. The cache hit ratio
 // observed during the measurement window is reported as the hit% metric.
-//
-// cmd/bmehbench -concurrent runs the same workloads standalone and can
-// record them to BENCH_concurrent.json.
 
 import (
 	"fmt"
@@ -149,10 +146,10 @@ func BenchmarkParallelInsert(b *testing.B) {
 }
 
 // BenchmarkInsertParallel is the write-path acceptance benchmark for the
-// decomposed index lock (recorded to BENCH_writepath.json): aggregate
-// insert throughput must scale with goroutines where the old global write
-// lock held it flat. Same workload as BenchmarkParallelInsert, named
-// separately so the record tracks the write path specifically.
+// decomposed index lock: aggregate insert throughput must scale with
+// goroutines where the old global write lock held it flat. Same workload
+// as BenchmarkParallelInsert, named separately so the record tracks the
+// write path specifically.
 func BenchmarkInsertParallel(b *testing.B) {
 	for _, g := range benchGoroutineCounts {
 		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {

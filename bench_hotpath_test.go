@@ -6,9 +6,6 @@ package bmeh
 // deserialization and (at steady state) no allocation. The file-backend
 // pair compares per-operation Insert+Sync against InsertBatch, which takes
 // the write lock once per batch and group-commits a single Sync.
-//
-// BENCH_hotpath.json at the repo root records before/after numbers for
-// these paths (plus BenchmarkSearch / BenchmarkParallelGet).
 
 import (
 	"path/filepath"

@@ -454,15 +454,7 @@ func Create(path string, opts Options) (*Index, error) {
 // Open opens a file-backed Index previously written by Create.
 // cacheFrames > 0 enables a page cache as in Options.CacheFrames.
 func Open(path string, cacheFrames int) (*Index, error) {
-	return OpenBackend(path, cacheFrames, BackendFile)
-}
-
-// OpenBackend is Open with an explicit storage engine. The backend is a
-// property of the process, not the file: either backend opens any index
-// file (the on-disk format is shared), so a store written under
-// BackendFile can be served mmap'd and vice versa.
-func OpenBackend(path string, cacheFrames int, backend Backend) (*Index, error) {
-	return OpenWithOptions(path, Options{CacheFrames: cacheFrames, Backend: backend})
+	return OpenWithOptions(path, Options{CacheFrames: cacheFrames})
 }
 
 // OpenWithOptions is Open with the full set of runtime options: Backend,
@@ -986,13 +978,6 @@ const (
 	// AdviseSequential enables aggressive readahead — right for Range,
 	// Scan and BulkLoad sweeps.
 	AdviseSequential
-	// AdviseHugePage asks the kernel to back the mapping with transparent
-	// huge pages (MADV_HUGEPAGE on BackendMmap). One 2 MiB TLB entry then
-	// covers ~500 index pages, which helps directory-walk-heavy working
-	// sets; it composes with the readahead hints above instead of
-	// replacing them. Whether the kernel honors it depends on the
-	// system's THP configuration.
-	AdviseHugePage
 )
 
 // Advise hints the expected access pattern to the storage backend
@@ -1015,30 +1000,10 @@ func (ix *Index) Advise(p AccessPattern) error {
 		pp = pagestore.AdviseRandom
 	case AdviseSequential:
 		pp = pagestore.AdviseSequential
-	case AdviseHugePage:
-		pp = pagestore.AdviseHugePage
 	default:
 		return fmt.Errorf("bmeh: unknown access pattern %d", int(p))
 	}
 	return ix.mdisk.Advise(pp)
-}
-
-// Mlock pins the mmap backend's mapping in physical memory (on=true) or
-// releases the pin. Point reads then never take a major fault — the
-// complement of AdviseHugePage's TLB relief. A no-op on every other
-// backend. The syscall's refusal (RLIMIT_MEMLOCK is tens of KiB in many
-// containers) is returned as an error; the index stays fully usable,
-// just unpinned.
-func (ix *Index) Mlock(on bool) error {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if ix.closed {
-		return pagestore.ErrClosed
-	}
-	if ix.mdisk == nil {
-		return nil
-	}
-	return ix.mdisk.Mlock(on)
 }
 
 // MmapStats is a snapshot of the mmap backend's read-path counters.

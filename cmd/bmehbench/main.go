@@ -10,12 +10,13 @@
 //	bmehbench -figure 6            # one growth figure
 //	bmehbench -rangecost           # Theorem 4 experiment
 //	bmehbench -ablation            # BMEH node-size (φ) sweep
+//	bmehbench -noise               # §3 degeneration experiment
+//	bmehbench -cache               # page-cache (physical I/O) ablation
+//	bmehbench -figure 6 -csv       # growth curve as CSV
 //	bmehbench -table 2 -n 8000     # scaled-down run
-//	bmehbench -concurrent -json BENCH_concurrent.json
-//	                               # parallel get/insert/mixed sweep
-//	bmehbench -mvcc -json BENCH_mvcc.json
-//	                               # reader throughput under a saturating
-//	                               # writer, latched vs copy-on-write
+//
+// Throughput and latency of the serving stack are measured by
+// benchmark/ (bash benchmark/run.sh), not here.
 package main
 
 import (
@@ -35,15 +36,6 @@ func main() {
 		ablation  = flag.Bool("ablation", false, "run the BMEH-tree node-size (φ) sweep")
 		noise     = flag.Bool("noise", false, "run the §3 degeneration experiment (noise-burst keys)")
 		cache     = flag.Bool("cache", false, "run the buffer-pool (physical I/O) ablation")
-		conc      = flag.Bool("concurrent", false, "run the parallel get/insert/mixed sweep (1/4/16 goroutines)")
-		netBench  = flag.Bool("net", false, "run the loopback network serving benchmark (16 pipelined clients)")
-		replBench = flag.Bool("repl", false, "run the replication benchmark (catch-up + availability across a primary restart)")
-		bulkload  = flag.Bool("bulkload", false, "run the bulk-load vs incremental-batch comparison (file backend)")
-		mvcc      = flag.Bool("mvcc", false, "run the MVCC sweep (reader throughput under a saturating writer, latched vs cow)")
-		backend   = flag.Bool("backend", false, "run the storage-backend comparison (pread vs mmap: bulk load, cold/warm-miss gets, range scan)")
-		clBench   = flag.Bool("cluster", false, "run the sharded-cluster benchmark (GET/PUT scaling at 1/2/4 shards + availability through an online split)")
-		jsonPath  = flag.String("json", "", "with -concurrent/-net/-repl: also write the report to this JSON file")
-		window    = flag.Duration("window", 500*time.Millisecond, "with -concurrent/-net/-repl: measurement window per configuration")
 		asCSV     = flag.Bool("csv", false, "emit figures as CSV for external plotting")
 		all       = flag.Bool("all", false, "run every table, figure and extra experiment")
 		n         = flag.Int("n", 40000, "keys to insert per run (paper: 40000)")
@@ -115,96 +107,6 @@ func main() {
 		sim.FormatCache(os.Stdout, rows, *n)
 		fmt.Println()
 	}
-	runConc := func() {
-		ran = true
-		nn := *n
-		if nn > 20000 {
-			nn = 20000 // warm working set; larger N only lengthens warmup
-		}
-		rep, err := runConcurrent(os.Stdout, nn, *window, progress)
-		fail(err)
-		fmt.Println()
-		if *jsonPath != "" {
-			fail(writeConcurrentJSON(*jsonPath, rep))
-			progress("wrote %s\n", *jsonPath)
-		}
-	}
-	runNet := func() {
-		ran = true
-		nn := *n
-		if nn > 20000 {
-			nn = 20000 // preload working set; larger N only lengthens setup
-		}
-		rep, err := runNet(os.Stdout, nn, *window, progress)
-		fail(err)
-		fmt.Println()
-		if *jsonPath != "" {
-			fail(writeNetJSON(*jsonPath, rep))
-			progress("wrote %s\n", *jsonPath)
-		}
-	}
-	runReplBench := func() {
-		ran = true
-		nn := *n
-		if nn > 20000 {
-			nn = 20000 // preload working set; larger N only lengthens setup
-		}
-		rep, err := runRepl(os.Stdout, nn, *window, progress)
-		fail(err)
-		fmt.Println()
-		if *jsonPath != "" {
-			fail(writeReplJSON(*jsonPath, rep))
-			progress("wrote %s\n", *jsonPath)
-		}
-	}
-	runBulkloadBench := func() {
-		ran = true
-		rep, err := runBulkload(os.Stdout, *n, progress)
-		fail(err)
-		fmt.Println()
-		if *jsonPath != "" {
-			fail(writeBulkloadJSON(*jsonPath, rep))
-			progress("wrote %s\n", *jsonPath)
-		}
-	}
-	runBackendBench := func() {
-		ran = true
-		rep, err := runBackend(os.Stdout, *n, progress)
-		fail(err)
-		fmt.Println()
-		if *jsonPath != "" {
-			fail(writeBackendJSON(*jsonPath, rep))
-			progress("wrote %s\n", *jsonPath)
-		}
-	}
-	runClusterBench := func() {
-		ran = true
-		nn := *n
-		if nn > 20000 {
-			nn = 20000 // preload working set; larger N only lengthens setup
-		}
-		rep, err := runCluster(os.Stdout, nn, *window, progress)
-		fail(err)
-		fmt.Println()
-		if *jsonPath != "" {
-			fail(writeClusterJSON(*jsonPath, rep))
-			progress("wrote %s\n", *jsonPath)
-		}
-	}
-	runMVCCBench := func() {
-		ran = true
-		nn := *n
-		if nn > 20000 {
-			nn = 20000 // warm working set; larger N only lengthens preload
-		}
-		rep, err := runMVCC(os.Stdout, nn, *window, progress)
-		fail(err)
-		fmt.Println()
-		if *jsonPath != "" {
-			fail(writeMVCCJSON(*jsonPath, rep))
-			progress("wrote %s\n", *jsonPath)
-		}
-	}
 	runNoise := func() {
 		ran = true
 		progress("§3 degeneration experiment...\n")
@@ -230,7 +132,6 @@ func main() {
 		runAblation()
 		runCache()
 		runNoise()
-		runConc()
 	default:
 		if *table != 0 {
 			runTable(*table)
@@ -249,27 +150,6 @@ func main() {
 		}
 		if *cache {
 			runCache()
-		}
-		if *conc {
-			runConc()
-		}
-		if *netBench {
-			runNet()
-		}
-		if *replBench {
-			runReplBench()
-		}
-		if *bulkload {
-			runBulkloadBench()
-		}
-		if *backend {
-			runBackendBench()
-		}
-		if *mvcc {
-			runMVCCBench()
-		}
-		if *clBench {
-			runClusterBench()
 		}
 	}
 	if !ran {

@@ -109,12 +109,12 @@ func TestFaultInjection(t *testing.T) {
 	}
 }
 
-// TestFaultInjectionBufferPool repeats the faulty insert/delete workload
+// TestFaultInjectionCachedStore repeats the faulty insert/delete workload
 // with a small write-back buffer pool between the tree and the faulting
 // store, so faults also fire on eviction and flush traffic — the shape a
 // cached production deployment sees — instead of synchronously inside the
 // faulting operation only.
-func TestFaultInjectionBufferPool(t *testing.T) {
+func TestFaultInjectionCachedStore(t *testing.T) {
 	prm := params.Default(2, 4)
 	inner := pagestore.NewMemDisk(PageBytes(prm))
 	fs := pagestore.NewFaultStore(inner, -1)

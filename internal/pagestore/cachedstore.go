@@ -2,35 +2,6 @@ package pagestore
 
 import "fmt"
 
-// PagePool is the page-cache contract CachedStore is built on: a pinned
-// write-back frame cache over a Store. ShardedPool (lock-striped, CLOCK)
-// and BufferPool (single mutex, LRU) both implement it.
-type PagePool interface {
-	// Get returns the page's frame buffer with one pin taken.
-	Get(id PageID) ([]byte, error)
-	// ReadInto copies the page's bytes into buf (faulting on a miss). The
-	// copy happens under the pool's internal locking, so it can never
-	// observe a torn image from a concurrent Put of the same page.
-	ReadInto(id PageID, buf []byte) error
-	// Put replaces the page's frame contents with the full-page image in
-	// data and marks it dirty. A non-resident page is written around the
-	// pool, straight to the store: faulting a frame in just to overwrite
-	// it wastes an eviction. Copy-under-lock like ReadInto.
-	Put(id PageID, data []byte) error
-	// NewPage allocates a page and returns its zeroed, pinned, dirty frame.
-	NewPage(kind Kind) (PageID, []byte, error)
-	// MarkDirty flags a pinned frame as modified.
-	MarkDirty(id PageID)
-	// Unpin releases one pin.
-	Unpin(id PageID)
-	// Drop discards a frame without write-back.
-	Drop(id PageID)
-	// Flush writes back every dirty frame.
-	Flush() error
-	// HitRate returns cache hits and misses since creation.
-	HitRate() (hits, misses uint64)
-}
-
 // CachedStore layers a page pool behind the Store interface so index
 // implementations, which speak Store, transparently gain a page cache.
 // Reads are served from the pool; writes land in the pool (write-back) and
@@ -40,19 +11,13 @@ type PagePool interface {
 // because the paper counts logical page accesses.
 type CachedStore struct {
 	inner Store
-	pool  PagePool
+	pool  *ShardedPool
 }
 
 // NewCachedStore wraps inner with a sharded (lock-striped, CLOCK-evicting)
 // pool of the given frame capacity, the concurrency-scalable default.
 func NewCachedStore(inner Store, frames int) *CachedStore {
 	return &CachedStore{inner: inner, pool: NewShardedPool(inner, frames, 0)}
-}
-
-// NewCachedStoreWithPool wraps inner with a caller-supplied pool (tests
-// and ablations that want the legacy LRU BufferPool use this).
-func NewCachedStoreWithPool(inner Store, pool PagePool) *CachedStore {
-	return &CachedStore{inner: inner, pool: pool}
 }
 
 // PageSize implements Store.
@@ -116,15 +81,8 @@ func (c *CachedStore) Drop(id PageID) { c.pool.Drop(id) }
 // HitRate reports the pool's cache hits and misses.
 func (c *CachedStore) HitRate() (hits, misses uint64) { return c.pool.HitRate() }
 
-// PoolStats reports the pool's counters. Pools that don't keep the full
-// set (the legacy BufferPool) report hits and misses only.
-func (c *CachedStore) PoolStats() PoolStats {
-	if sp, ok := c.pool.(*ShardedPool); ok {
-		return sp.Stats()
-	}
-	h, m := c.pool.HitRate()
-	return PoolStats{Hits: h, Misses: m}
-}
+// PoolStats reports the pool's counters.
+func (c *CachedStore) PoolStats() PoolStats { return c.pool.Stats() }
 
 // Close flushes and closes the inner store.
 func (c *CachedStore) Close() error {

@@ -89,7 +89,7 @@ func TestBackendShortBuffer(t *testing.T) {
 		"cached": func(t *testing.T) Store { return NewCachedStore(NewMemDisk(ps), 4) },
 		"sharded": func(t *testing.T) Store {
 			mem := NewMemDisk(ps)
-			return NewCachedStoreWithPool(mem, NewShardedPool(mem, 8, 2))
+			return &CachedStore{inner: mem, pool: NewShardedPool(mem, 8, 2)}
 		},
 	}
 	for name, mk := range cases {

@@ -55,9 +55,7 @@ type mmapFile struct {
 	mapped  atomic.Int64
 	dirtyLo int64 // under mu; dirty byte range awaiting msync
 	dirtyHi int64
-	advice  int  // last readahead madvise; re-applied to newly mapped chunks
-	huge    bool // MADV_HUGEPAGE active; re-applied to newly mapped chunks
-	locked  bool // mlock active; newly mapped chunks are locked too
+	advice  int // last readahead madvise; re-applied to newly mapped chunks
 	closed  bool
 }
 
@@ -133,17 +131,6 @@ func (m *mmapFile) growMapping(need int64) error {
 	}
 	if m.advice != 0 {
 		syscall.Madvise(m.res[cur:newMapped], m.advice)
-	}
-	if m.huge {
-		syscall.Madvise(m.res[cur:newMapped], syscall.MADV_HUGEPAGE)
-	}
-	if m.locked {
-		if err := syscall.Mlock(m.res[cur:newMapped]); err != nil {
-			// The lock budget (RLIMIT_MEMLOCK) ran out mid-growth: stop
-			// locking rather than failing writes — mlock is a performance
-			// experiment, not a correctness dependency.
-			m.locked = false
-		}
 	}
 	m.mapped.Store(newMapped)
 	return nil
@@ -324,15 +311,6 @@ func (m *mmapFile) Advise(p AccessPattern) error {
 		adv = syscall.MADV_SEQUENTIAL
 	case AdviseWillNeed:
 		adv = syscall.MADV_WILLNEED
-	case AdviseHugePage:
-		// A region flag, not a readahead class: it composes with the
-		// other hints, so it is tracked separately and does not disturb
-		// the re-applied readahead advice.
-		m.huge = true
-		if mapped := m.mapped.Load(); mapped > 0 {
-			return syscall.Madvise(m.res[:mapped], syscall.MADV_HUGEPAGE)
-		}
-		return nil
 	default:
 		return fmt.Errorf("pagestore: unknown access pattern %d", p)
 	}
@@ -340,34 +318,6 @@ func (m *mmapFile) Advise(p AccessPattern) error {
 	if mapped := m.mapped.Load(); mapped > 0 {
 		return syscall.Madvise(m.res[:mapped], adv)
 	}
-	return nil
-}
-
-// Mlock implements memLocker: pin (or release) the file-backed prefix of
-// the mapping. The error of a refused lock — typically EPERM or ENOMEM
-// from RLIMIT_MEMLOCK in containers — is returned to the caller, and the
-// mapping stays usable, just unpinned. While locked, growth locks each
-// newly mapped chunk as well (best effort; see growMapping).
-func (m *mmapFile) Mlock(on bool) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return os.ErrClosed
-	}
-	mapped := m.mapped.Load()
-	if !on {
-		m.locked = false
-		if mapped == 0 {
-			return nil
-		}
-		return syscall.Munlock(m.res[:mapped])
-	}
-	if mapped > 0 {
-		if err := syscall.Mlock(m.res[:mapped]); err != nil {
-			return fmt.Errorf("pagestore: mlock %d bytes: %w", mapped, err)
-		}
-	}
-	m.locked = true
 	return nil
 }
 

@@ -21,12 +21,6 @@ const (
 	AdviseSequential
 	// AdviseWillNeed asks the kernel to start faulting the range in.
 	AdviseWillNeed
-	// AdviseHugePage asks the kernel to back the mapping with transparent
-	// huge pages (MADV_HUGEPAGE). Orthogonal to the readahead hints above —
-	// it composes with them rather than replacing them — and worthwhile for
-	// directory-heavy working sets, where 2 MiB TLB entries cover ~500
-	// 4 KiB index pages each.
-	AdviseHugePage
 )
 
 func (p AccessPattern) String() string {
@@ -39,8 +33,6 @@ func (p AccessPattern) String() string {
 		return "sequential"
 	case AdviseWillNeed:
 		return "willneed"
-	case AdviseHugePage:
-		return "hugepage"
 	default:
 		return fmt.Sprintf("pattern(%d)", int(p))
 	}
@@ -75,12 +67,6 @@ type sliceCapabler interface {
 // adviser is the madvise contract a File may offer.
 type adviser interface {
 	Advise(p AccessPattern) error
-}
-
-// memLocker is the mlock contract a File may offer: pin its mapped bytes
-// in physical memory (no major faults on the read path) or release them.
-type memLocker interface {
-	Mlock(on bool) error
 }
 
 // viewOf returns f as a sliceView if it can genuinely serve zero-copy
@@ -298,25 +284,6 @@ func (d *MmapDisk) Advise(p AccessPattern) error {
 	}
 	if a, ok := f.(adviser); ok {
 		return a.Advise(p)
-	}
-	return nil
-}
-
-// Mlock pins (or, with on=false, unpins) the mapped file bytes in
-// physical memory. A no-op nil on unmapped backends; on mapped ones the
-// syscall's error is returned verbatim — RLIMIT_MEMLOCK commonly refuses
-// locks beyond a few tens of KiB, and callers are expected to treat that
-// as "experiment not available", not as store damage.
-func (d *MmapDisk) Mlock(on bool) error {
-	d.mu.Lock()
-	f := d.f
-	closed := d.closed
-	d.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	if l, ok := f.(memLocker); ok {
-		return l.Mlock(on)
 	}
 	return nil
 }

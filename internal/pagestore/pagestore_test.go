@@ -2,6 +2,7 @@ package pagestore
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -239,13 +240,5 @@ func TestClosedStore(t *testing.T) {
 }
 
 func writeFile(path string, data []byte) error {
-	f, err := createFile(path)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(path, data, 0o644)
 }

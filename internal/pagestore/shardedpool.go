@@ -8,9 +8,8 @@ import (
 )
 
 // ShardedPool is a concurrency-scalable write-back page cache layered over
-// a Store. It replaces BufferPool's single mutex + LRU list with N
-// lock-striped shards and CLOCK (second chance) eviction, so that the read
-// path taken by concurrent index probes is latch-light:
+// a Store: N lock-striped shards with CLOCK (second chance) eviction, so
+// that the read path taken by concurrent index probes is latch-light:
 //
 //   - a cache hit takes only the shard's read lock (shared among readers of
 //     every page hashing to that shard) and performs two atomic stores —
@@ -22,11 +21,11 @@ import (
 //     back), and faults the page in from the store.
 //
 // Hit/miss/eviction counters are atomics, read without any lock via
-// Stats. The pool implements the same pin discipline as BufferPool: every
-// Get/NewPage must be paired with exactly one Unpin, and a frame's bytes
-// may be mutated only between Get and Unpin with MarkDirty called before
-// Unpin. Writers of the same page must be externally serialized (bmeh.Index
-// does so with its writer lock); concurrent readers are safe.
+// Stats. Pin discipline: every Get/NewPage must be paired with exactly one
+// Unpin, and a frame's bytes may be mutated only between Get and Unpin with
+// MarkDirty called before Unpin. Writers of the same page must be
+// externally serialized (bmeh.Index does so with its writer lock);
+// concurrent readers are safe.
 type ShardedPool struct {
 	store  Store
 	shards []poolShard
@@ -395,8 +394,8 @@ func (p *ShardedPool) Flush() error {
 	return nil
 }
 
-// HitRate returns cache hits, misses since creation (BufferPool-compatible
-// accessor; see Stats for the full picture).
+// HitRate returns cache hits, misses since creation (see Stats for the
+// full picture).
 func (p *ShardedPool) HitRate() (hits, misses uint64) {
 	return p.hits.Load(), p.misses.Load()
 }

@@ -260,6 +260,96 @@ func TestShardedPoolDrop(t *testing.T) {
 	}
 }
 
+// TestShardedPoolPut covers both halves of Put: a non-resident page is
+// written around the pool (straight to the store, no frame claimed, no
+// fault-in read), a resident one is replaced whole in its frame — short
+// images zero-padded — and reaches the store only on Flush.
+func TestShardedPoolPut(t *testing.T) {
+	st := NewMemDisk(64)
+	id, _ := st.Alloc(KindData)
+	p := NewShardedPool(st, 2, 1)
+	st.ResetStats()
+	if err := p.Put(id, []byte("around")); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(p.shards[0].frames); n != 0 {
+		t.Fatalf("write-around Put left %d resident frames", n)
+	}
+	if s := st.Stats(); s.Reads != 0 || s.Writes != 1 {
+		t.Fatalf("write-around Put cost %d reads, %d writes; want 0, 1", s.Reads, s.Writes)
+	}
+	buf := make([]byte, 64)
+	if err := p.ReadInto(id, buf); err != nil { // faults the page in
+		t.Fatal(err)
+	}
+	if string(buf[:6]) != "around" {
+		t.Fatalf("read back %q", buf[:6])
+	}
+	if err := p.Put(id, []byte("in")); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.ReadInto(id, buf); err != nil {
+		t.Fatal(err)
+	}
+	if string(buf[:6]) != "in\x00\x00\x00\x00" {
+		t.Fatalf("resident Put left a stale tail: %q", buf[:6])
+	}
+	if err := st.Read(id, buf); err != nil {
+		t.Fatal(err)
+	}
+	if string(buf[:6]) != "around" {
+		t.Fatalf("resident Put wrote through before Flush: %q", buf[:6])
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Read(id, buf); err != nil {
+		t.Fatal(err)
+	}
+	if string(buf[:2]) != "in" || buf[2] != 0 {
+		t.Fatalf("Flush did not write the Put image back: %q", buf[:6])
+	}
+}
+
+// TestShardedPoolReadIntoTakesNoPin: a page faulted in by ReadInto must
+// stay evictable, or CachedStore reads would exhaust the pool.
+func TestShardedPoolReadIntoTakesNoPin(t *testing.T) {
+	st := NewMemDisk(64)
+	p := NewShardedPool(st, 1, 1)
+	buf := make([]byte, 64)
+	for i := 0; i < 3; i++ {
+		id, _ := st.Alloc(KindData)
+		if err := st.Write(id, []byte{byte('a' + i)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.ReadInto(id, buf); err != nil {
+			t.Fatalf("ReadInto %d: %v (previous frame left pinned?)", i, err)
+		}
+		if buf[0] != byte('a'+i) {
+			t.Fatalf("ReadInto %d returned %q", i, buf[:1])
+		}
+	}
+	if s := p.Stats(); s.Misses != 3 || s.Evictions != 2 {
+		t.Fatalf("accounting off: %+v", s)
+	}
+}
+
+func TestShardedPoolUnpinWithoutPinPanics(t *testing.T) {
+	st := NewMemDisk(64)
+	p := NewShardedPool(st, 2, 1)
+	id, _ := st.Alloc(KindData)
+	if _, err := p.Get(id); err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(id)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Unpin of a once-pinned page did not panic")
+		}
+	}()
+	p.Unpin(id)
+}
+
 // TestShardedPoolConcurrentGets hammers a warm pool from many goroutines;
 // correctness is checked by content and the race detector.
 func TestShardedPoolConcurrentGets(t *testing.T) {

@@ -33,15 +33,20 @@ type Config struct {
 	SyncBatch    int
 	CoalesceMax  int
 	CoalesceWait time.Duration
-	DrainTimeout time.Duration
-	ReplicaOf    string // primary address; "" means this node is a primary
-	COW          bool   // copy-on-write writers + MVCC snapshot reads
+	DrainTimeout time.Duration // graceful-shutdown budget; zero means 30 s
+	ReplicaOf    string        // primary address; "" means this node is a primary
+	COW          bool          // copy-on-write writers + MVCC snapshot reads
 
 	// SnapMaxPinAge force-releases snapshot pins older than this (COW
 	// only; zero = never). It protects a long-lived server from clients
 	// that open a backup or scatter-gather snapshot and vanish.
 	SnapMaxPinAge time.Duration
 }
+
+// defaultDrainTimeout is the drain budget when Config.DrainTimeout is
+// zero. A zero budget would expire before Shutdown looked at a single
+// connection, turning every drain into an abort.
+const defaultDrainTimeout = 30 * time.Second
 
 // ParseBackend maps the -backend flag to a storage engine.
 func ParseBackend(s string) (bmeh.Backend, error) {
@@ -60,7 +65,20 @@ func ParseBackend(s string) (bmeh.Backend, error) {
 // address once the listener is up — tests and the cluster launcher use
 // it to learn the port and to coordinate shutdown.
 func Run(cfg Config, sig <-chan os.Signal, ready func(net.Addr), logw io.Writer) error {
+	backend, err := ParseBackend(cfg.Backend)
+	if err != nil {
+		return err
+	}
 	if cfg.ReplicaOf != "" {
+		// A replica's store is opened by bmeh.NewReplicaTarget, which has
+		// one engine and one write mode; serving it anyway would hand the
+		// operator something other than what was asked for.
+		if backend != bmeh.BackendFile {
+			return fmt.Errorf("-replica-of does not support -backend %s", backend)
+		}
+		if cfg.COW {
+			return errors.New("-replica-of does not support -cow")
+		}
 		return runReplica(cfg, sig, ready, logw)
 	}
 	opts := bmeh.Options{
@@ -69,12 +87,8 @@ func Run(cfg Config, sig <-chan os.Signal, ready func(net.Addr), logw io.Writer)
 		CacheFrames:       cfg.Cache,
 		SyncPolicy:        bmeh.SyncPolicy{Interval: cfg.SyncInterval, MaxBatch: cfg.SyncBatch},
 		SnapshotMaxPinAge: cfg.SnapMaxPinAge,
+		Backend:           backend,
 	}
-	backend, err := ParseBackend(cfg.Backend)
-	if err != nil {
-		return err
-	}
-	opts.Backend = backend
 	if cfg.COW {
 		opts.WriteMode = bmeh.WriteModeCOW
 	}
@@ -123,41 +137,8 @@ func Run(cfg Config, sig <-chan os.Signal, ready func(net.Addr), logw io.Writer)
 		Hub:          hub,
 		Logf:         func(format string, args ...any) { fmt.Fprintf(logw, "bmehserve: "+format+"\n", args...) },
 	})
-	ln, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(logw, "bmehserve: serving %d record(s), %d dim(s) on %s\n", ix.Len(), ix.Options().Dims, ln.Addr())
-	if ready != nil {
-		ready(ln.Addr())
-	}
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	select {
-	case s := <-sig:
-		fmt.Fprintf(logw, "bmehserve: %v: draining (timeout %v)\n", s, cfg.DrainTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.DrainTimeout)
-		defer cancel()
-		go func() {
-			if s, ok := <-sig; ok {
-				fmt.Fprintf(logw, "bmehserve: %v: aborting drain\n", s)
-				cancel()
-			}
-		}()
-		if err := srv.Shutdown(ctx); err != nil {
-			<-serveErr
-			return fmt.Errorf("drain: %w", err)
-		}
-		if err := <-serveErr; err != nil && !errors.Is(err, server.ErrServerClosed) {
-			return err
-		}
-		fmt.Fprintf(logw, "bmehserve: drained cleanly\n")
-		return nil
-	case err := <-serveErr:
-		return err
-	}
+	banner := fmt.Sprintf("serving %d record(s), %d dim(s)", ix.Len(), ix.Options().Dims)
+	return serveUntilSignal(srv, cfg, sig, ready, logw, banner, "")
 }
 
 // runReplica follows a primary: seed (or reopen) the local store, apply
@@ -202,20 +183,34 @@ func runReplica(cfg Config, sig <-chan os.Signal, ready func(net.Addr), logw io.
 		},
 		Logf: func(format string, args ...any) { fmt.Fprintf(logw, "bmehserve: "+format+"\n", args...) },
 	})
+	return serveUntilSignal(srv, cfg, sig, ready, logw, "replica serving", "replica ")
+}
+
+// serveUntilSignal is the tail both roles share: listen on cfg.Addr, log
+// banner with the bound address and report it to ready, serve until a
+// value arrives on sig, then drain within cfg.DrainTimeout. A second
+// signal aborts the drain. role prefixes the drain log lines.
+func serveUntilSignal(srv *server.Server, cfg Config, sig <-chan os.Signal, ready func(net.Addr), logw io.Writer, banner, role string) error {
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(logw, "bmehserve: replica serving on %s\n", ln.Addr())
+	fmt.Fprintf(logw, "bmehserve: %s on %s\n", banner, ln.Addr())
 	if ready != nil {
 		ready(ln.Addr())
 	}
+	timeout := cfg.DrainTimeout
+	if timeout == 0 {
+		timeout = defaultDrainTimeout
+	}
+
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
+
 	select {
 	case s := <-sig:
-		fmt.Fprintf(logw, "bmehserve: %v: draining replica (timeout %v)\n", s, cfg.DrainTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.DrainTimeout)
+		fmt.Fprintf(logw, "bmehserve: %v: draining %s(timeout %v)\n", s, role, timeout)
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		defer cancel()
 		go func() {
 			if s, ok := <-sig; ok {
@@ -230,7 +225,7 @@ func runReplica(cfg Config, sig <-chan os.Signal, ready func(net.Addr), logw io.
 		if err := <-serveErr; err != nil && !errors.Is(err, server.ErrServerClosed) {
 			return err
 		}
-		fmt.Fprintf(logw, "bmehserve: replica drained cleanly\n")
+		fmt.Fprintf(logw, "bmehserve: %sdrained cleanly\n", role)
 		return nil
 	case err := <-serveErr:
 		return err

@@ -157,6 +157,15 @@ func TestSnapshotConsistencyUnderWriter(t *testing.T) {
 	if err := ix.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// With every snapshot closed nothing may stay pinned or pending, and
+	// the writer's commits must have gone through the COW root swap.
+	st := ix.SnapshotStats()
+	if st.PinnedEpochs != 0 || st.ReclaimablePages != 0 {
+		t.Fatalf("leak: %d pinned epochs, %d reclaimable pages after all snapshots closed", st.PinnedEpochs, st.ReclaimablePages)
+	}
+	if st.Epoch == 0 {
+		t.Fatal("epoch never advanced: commits bypassed the COW root swap")
+	}
 }
 
 // TestSnapshotWriteToBackup: an online backup taken from a pinned
