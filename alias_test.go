@@ -14,7 +14,7 @@ import (
 // remotely as one client's response bytes changing under another's
 // request — so this is tier-1, not just hygiene.
 func TestNoAliasedResults(t *testing.T) {
-	ix, err := bmeh.New(bmeh.Options{Dims: 2, PageCapacity: 4, CacheFrames: 64})
+	ix, err := bmeh.New(bmeh.Options{Dims: 2, PageCapacity: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestNoAliasedResultsInterleaved(t *testing.T) {
 		// in release builds only.
 		t.Skip("nested Range re-acquires a held page latch; not checkable under latchdebug")
 	}
-	ix, err := bmeh.New(bmeh.Options{Dims: 2, PageCapacity: 4, CacheFrames: 64})
+	ix, err := bmeh.New(bmeh.Options{Dims: 2, PageCapacity: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,7 +136,7 @@ func TestBackendCrossOpen(t *testing.T) {
 				if err := ix.Close(); err != nil {
 					t.Fatal(err)
 				}
-				re, err := OpenWithOptions(path, Options{CacheFrames: 64, Backend: reopen})
+				re, err := OpenWithOptions(path, Options{Backend: reopen})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -4,10 +4,9 @@ package bmeh
 // Insert / Mixed run the public Index under b.RunParallel at 1, 4 and 16
 // goroutines (GOMAXPROCS is pinned to the goroutine count for the duration
 // of each sub-benchmark, so the counts are exact). Get runs on a warm
-// sharded page cache, where the only shared state a probe touches is the
-// index's RLock and a pool shard's RLock — the configuration the paper's
-// ≤3-accesses-per-probe claim cares about under load. The cache hit ratio
-// observed during the measurement window is reported as the hit% metric.
+// decoded-object cache, where the only shared state a probe touches is
+// the index's RLock and a cache shard's lock — the configuration the
+// paper's ≤3-accesses-per-probe claim cares about under load.
 
 import (
 	"fmt"
@@ -34,12 +33,12 @@ func benchKey(i uint64) Key {
 	return Key{h & 0xffffffff, h >> 32}
 }
 
-// newWarmBenchIndex builds an in-memory index with a cache large enough to
-// hold the whole working set, loads n keys, and touches every key once so
-// the measurement window runs at a ~100% hit rate.
+// newWarmBenchIndex builds an in-memory index, loads n keys (a working set
+// the decoded-object cache holds whole), and touches every key once so the
+// measurement window runs at a ~100% hit rate.
 func newWarmBenchIndex(b *testing.B, n int) *Index {
 	b.Helper()
-	ix, err := New(Options{Dims: 2, PageCapacity: 32, CacheFrames: 8192})
+	ix, err := New(Options{Dims: 2, PageCapacity: 32})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -78,17 +77,6 @@ func runAtGoroutines(b *testing.B, g int, body func(pb *testing.PB, worker uint6
 	})
 }
 
-// reportPoolMetrics attaches the pool hit ratio observed during the
-// measurement window.
-func reportPoolMetrics(b *testing.B, ix *Index, before PoolStats) {
-	after, ok := ix.PoolStats()
-	if !ok {
-		return
-	}
-	d := PoolStats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}
-	b.ReportMetric(d.HitRatio()*100, "hit%")
-}
-
 // BenchmarkParallelGet measures exact-match lookups on a warm cache.
 func BenchmarkParallelGet(b *testing.B) {
 	const n = 20000
@@ -96,7 +84,6 @@ func BenchmarkParallelGet(b *testing.B) {
 	defer ix.Close()
 	for _, g := range benchGoroutineCounts {
 		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
-			before, _ := ix.PoolStats()
 			runAtGoroutines(b, g, func(pb *testing.PB, worker uint64) {
 				i := mix64(worker) // de-correlate workers' probe sequences
 				for pb.Next() {
@@ -108,7 +95,6 @@ func BenchmarkParallelGet(b *testing.B) {
 					}
 				}
 			})
-			reportPoolMetrics(b, ix, before)
 		})
 	}
 }
@@ -116,7 +102,7 @@ func BenchmarkParallelGet(b *testing.B) {
 // benchParallelInsertAt loads a fresh in-memory index from g goroutines
 // inserting distinct keys as fast as they can.
 func benchParallelInsertAt(b *testing.B, g int) {
-	ix, err := New(Options{Dims: 2, PageCapacity: 32, CacheFrames: 8192})
+	ix, err := New(Options{Dims: 2, PageCapacity: 32})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -168,7 +154,6 @@ func BenchmarkParallelMixed(b *testing.B) {
 			defer ix.Close()
 			var seq atomic.Uint64
 			seq.Store(n)
-			before, _ := ix.PoolStats()
 			runAtGoroutines(b, g, func(pb *testing.PB, worker uint64) {
 				i := mix64(worker)
 				for pb.Next() {
@@ -185,7 +170,6 @@ func BenchmarkParallelMixed(b *testing.B) {
 					}
 				}
 			})
-			reportPoolMetrics(b, ix, before)
 		})
 	}
 }

@@ -176,30 +176,6 @@ func BenchmarkSearch(b *testing.B) {
 	}
 }
 
-func BenchmarkSearchCached(b *testing.B) {
-	ix, err := New(Options{Dims: 2, PageCapacity: 16, CacheFrames: 4096})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ix.Close()
-	gen := workload.Uniform(2, 99)
-	keys := make([]Key, 10000)
-	for i := range keys {
-		k := gen.Next()
-		keys[i] = Key{uint64(k[0]), uint64(k[1])}
-		if err := ix.Insert(keys[i], uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok, err := ix.Get(keys[i%len(keys)]); err != nil || !ok {
-			b.Fatal("lookup failed")
-		}
-	}
-}
-
 func BenchmarkSearchParallel(b *testing.B) {
 	ix, keys := buildIndex(b, SchemeBMEH, 10000)
 	defer ix.Close()

@@ -75,16 +75,16 @@ func (s Scheme) String() string {
 type Backend int
 
 const (
-	// BackendFile (default) is the pread/pwrite engine: page reads copy
-	// through a pooled buffer (and the optional CacheFrames byte pool).
+	// BackendFile (default) is the pread/pwrite engine: a page read
+	// preads and verifies the page's slot, then copies the page into the
+	// decoder's pooled buffer.
 	BackendFile Backend = iota
 	// BackendMmap maps the page file into memory and serves reads as
 	// zero-copy slices straight out of the mapping, with msync at the
 	// commit barrier. The on-disk format and crash-consistency protocol
 	// are identical to BackendFile — a file created by one backend opens
-	// under the other — but the byte pool is bypassed entirely (the OS
-	// page cache is the byte cache), so CacheFrames is ignored. On
-	// platforms without mmap support it degrades to the pread path.
+	// under the other. On platforms without mmap support it degrades to
+	// the pread path.
 	BackendMmap
 )
 
@@ -163,12 +163,11 @@ type Options struct {
 	NodeBits []int
 	// Width is the significant bits per key component (default 32, max 64).
 	Width int
-	// CacheFrames enables a write-back page cache of that many frames
-	// between the index and its store (0 disables caching). The cache is
-	// lock-striped with CLOCK eviction, so concurrent lookups on a warm
-	// cache do not serialize. With a cache, Stats reports physical I/O
-	// only; call Sync to force dirty pages out. Ignored by BackendMmap,
-	// which bypasses the byte pool (the OS page cache fills that role).
+	// CacheFrames is accepted and ignored; Options reports it as 0. It
+	// once sized a byte-level page pool below the decoded-object cache,
+	// which left that pool nothing to hold. The only caches are the
+	// pinned root and the decoded-object cache (plus, below the store,
+	// the OS page cache).
 	CacheFrames int
 	// Backend selects the storage engine for file-backed indexes
 	// (default BackendFile); in-memory indexes (New) ignore it.
@@ -215,22 +214,12 @@ type SyncPolicy struct {
 // Enabled reports whether the policy asks for any coalescing.
 func (p SyncPolicy) Enabled() bool { return p.Interval > 0 || p.MaxBatch > 0 }
 
-// PoolStats is a snapshot of the page cache's counters (CacheFrames > 0).
+// PoolStats is the counter pair of the retired byte-level page pool. No
+// index has one any more, so Index.PoolStats always reports the zero
+// value; the type stays so existing callers compile.
 type PoolStats struct {
-	Hits       uint64 // lookups served from a resident frame
-	Misses     uint64 // lookups that faulted a page in from the store
-	Evictions  uint64 // frames reclaimed by the CLOCK sweep
-	Writebacks uint64 // dirty frames written back on eviction or flush
-	Shards     int    // lock stripes in the pool
-	Capacity   int    // total frame slots
-}
-
-// HitRatio returns Hits / (Hits + Misses), or 0 before any access.
-func (s PoolStats) HitRatio() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
+	Hits   uint64 // lookups served from a resident frame
+	Misses uint64 // lookups that faulted a page in from the store
 }
 
 func (o Options) params() (params.Params, error) {
@@ -278,7 +267,6 @@ type Index struct {
 	scheme Scheme
 	idx    impl
 	store  pagestore.Store
-	cached *pagestore.CachedStore
 	file   *pagestore.FileDisk
 	// mdisk is set when the index runs on BackendMmap; file then aliases
 	// mdisk's embedded FileDisk, so the commit/replication/fsck paths are
@@ -360,14 +348,9 @@ func New(opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	var st pagestore.Store = pagestore.NewMemDisk(requiredPageBytes(opts.Scheme, prm))
 	ix := &Index{opts: opts, prm: prm, scheme: opts.Scheme}
-	if opts.CacheFrames > 0 {
-		ix.cached = pagestore.NewCachedStore(st, opts.CacheFrames)
-		st = ix.cached
-	}
-	ix.store = st
-	ix.idx, err = buildImpl(opts.Scheme, st, prm)
+	ix.store = pagestore.NewMemDisk(requiredPageBytes(opts.Scheme, prm))
+	ix.idx, err = buildImpl(opts.Scheme, ix.store, prm)
 	if err != nil {
 		return nil, err
 	}
@@ -416,9 +399,6 @@ func Create(path string, opts Options) (*Index, error) {
 			return nil, err
 		}
 		ix.mdisk, ix.file = md, md.FileDisk
-		// No byte pool over mmap: the decoded-node cache sits directly on
-		// the zero-copy slice path.
-		ix.opts.CacheFrames = 0
 		st = md
 	} else {
 		file, err := pagestore.CreateFileDisk(path, requiredPageBytes(opts.Scheme, prm))
@@ -427,10 +407,6 @@ func Create(path string, opts Options) (*Index, error) {
 		}
 		ix.file = file
 		st = file
-		if opts.CacheFrames > 0 {
-			ix.cached = pagestore.NewCachedStore(st, opts.CacheFrames)
-			st = ix.cached
-		}
 	}
 	file := ix.file
 	ix.store = st
@@ -452,17 +428,17 @@ func Create(path string, opts Options) (*Index, error) {
 }
 
 // Open opens a file-backed Index previously written by Create.
-// cacheFrames > 0 enables a page cache as in Options.CacheFrames.
+// cacheFrames is ignored, like Options.CacheFrames.
 func Open(path string, cacheFrames int) (*Index, error) {
-	return OpenWithOptions(path, Options{CacheFrames: cacheFrames})
+	return OpenWithOptions(path, Options{})
 }
 
 // OpenWithOptions is Open with the full set of runtime options: Backend,
-// CacheFrames, WriteMode and SyncPolicy are honored; geometry fields
-// (Scheme, Dims, PageCapacity, NodeBits, Width) are recovered from the
-// file and ignored in opts.
+// WriteMode and SyncPolicy are honored; geometry fields (Scheme, Dims,
+// PageCapacity, NodeBits, Width) are recovered from the file and ignored
+// in opts.
 func OpenWithOptions(path string, opts Options) (*Index, error) {
-	cacheFrames, backend := opts.CacheFrames, opts.Backend
+	backend := opts.Backend
 	ix := &Index{}
 	var st pagestore.Store
 	if backend == BackendMmap {
@@ -479,10 +455,6 @@ func OpenWithOptions(path string, opts Options) (*Index, error) {
 		}
 		ix.file = fd
 		st = fd
-		if cacheFrames > 0 {
-			ix.cached = pagestore.NewCachedStore(st, cacheFrames)
-			st = ix.cached
-		}
 	}
 	file := ix.file
 	// The meta area can hold up to a page: a v3 record carries the COW
@@ -518,16 +490,12 @@ func OpenWithOptions(path string, opts Options) (*Index, error) {
 		file.Close()
 		return nil, err
 	}
-	if backend == BackendMmap {
-		cacheFrames = 0 // no byte pool over mmap
-	}
 	ix.opts = Options{
 		Scheme:       ix.scheme,
 		Dims:         ix.prm.Dims,
 		PageCapacity: ix.prm.Capacity,
 		NodeBits:     ix.prm.Xi,
 		Width:        ix.prm.Width,
-		CacheFrames:  cacheFrames,
 		Backend:      backend,
 		WriteMode:    opts.WriteMode,
 		SyncPolicy:   opts.SyncPolicy,
@@ -538,7 +506,7 @@ func OpenWithOptions(path string, opts Options) (*Index, error) {
 }
 
 // Options returns the index's effective configuration: the scheme,
-// geometry and cache settings in force, whether they were given to
+// geometry, backend and write settings in force, whether they were given to
 // New/Create or recovered from a file by Open. The returned value is a
 // copy; mutating it does not affect the index.
 func (ix *Index) Options() Options {
@@ -548,6 +516,7 @@ func (ix *Index) Options() Options {
 	o.PageCapacity = ix.prm.Capacity
 	o.Width = ix.prm.Width
 	o.NodeBits = append([]int(nil), ix.prm.Xi...)
+	o.CacheFrames = 0
 	return o
 }
 
@@ -1051,28 +1020,17 @@ func (ix *Index) SetDecodedCacheCapacity(nodes, pages int) error {
 	return nil
 }
 
-// PoolStats reports the page cache's counters; ok is false when the index
-// was built without a cache (CacheFrames 0).
+// PoolStats reports the byte-level page pool's counters. There is no such
+// pool any more, so ok is always false; see the PoolStats type.
 func (ix *Index) PoolStats() (stats PoolStats, ok bool) {
-	if ix.cached == nil {
-		return PoolStats{}, false
-	}
-	s := ix.cached.PoolStats()
-	return PoolStats{
-		Hits:       s.Hits,
-		Misses:     s.Misses,
-		Evictions:  s.Evictions,
-		Writebacks: s.Writebacks,
-		Shards:     s.Shards,
-		Capacity:   s.Capacity,
-	}, true
+	return PoolStats{}, false
 }
 
-// Sync flushes cached pages and persists the index header (file-backed
-// indexes). In-memory indexes treat Sync as a cache flush. With a
-// SyncPolicy set, concurrent and back-to-back Sync calls coalesce into one
-// commit; each caller still returns only once everything it staged is
-// durable.
+// Sync writes deferred page images back to the store and commits them
+// with the index header (file-backed indexes). In-memory indexes treat
+// Sync as that write-back alone. With a SyncPolicy set, concurrent and
+// back-to-back Sync calls coalesce into one commit; each caller still
+// returns only once everything it staged is durable.
 func (ix *Index) Sync() error {
 	if gc := ix.gc.Load(); gc != nil {
 		return gc.Sync()
@@ -1083,8 +1041,8 @@ func (ix *Index) Sync() error {
 }
 
 func (ix *Index) syncLocked() error {
-	// Deferred in-place page writes flush first: the pool flush below can
-	// only persist bytes that have left the decoded cache.
+	// Deferred in-place page writes flush first: the commit below can only
+	// persist bytes that have left the decoded cache.
 	if tr, ok := ix.idx.(*core.Tree); ok {
 		if err := tr.FlushDirtyPages(); err != nil {
 			return err
@@ -1093,8 +1051,7 @@ func (ix *Index) syncLocked() error {
 	var meta []byte
 	if ix.file != nil {
 		// Marshal first: the MDEH snapshot writes its page-table chain
-		// through the (possibly cached) store, which the flush below must
-		// still see.
+		// through the store, which the commit below must still see.
 		var err error
 		switch v := ix.idx.(type) {
 		case *core.Tree:
@@ -1107,11 +1064,6 @@ func (ix *Index) syncLocked() error {
 			err = fmt.Errorf("bmeh: scheme %v does not support persistence", ix.scheme)
 		}
 		if err != nil {
-			return err
-		}
-	}
-	if ix.cached != nil {
-		if err := ix.cached.Flush(); err != nil {
 			return err
 		}
 	}

@@ -124,7 +124,7 @@ func TestRangeAcrossSchemes(t *testing.T) {
 func TestPersistenceRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "idx.bmeh")
 	keys := randKeys(1200, 3, 5)
-	ix, err := Create(path, Options{Dims: 3, PageCapacity: 8, CacheFrames: 64})
+	ix, err := Create(path, Options{Dims: 3, PageCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestPersistenceAllSchemes(t *testing.T) {
 			t.Parallel()
 			path := filepath.Join(t.TempDir(), "idx")
 			keys := randKeys(800, 2, 21+int64(s))
-			ix, err := Create(path, Options{Scheme: s, Dims: 2, PageCapacity: 8, CacheFrames: 32})
+			ix, err := Create(path, Options{Scheme: s, Dims: 2, PageCapacity: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,31 +250,53 @@ func TestOpenRejectsGarbageHeader(t *testing.T) {
 	}
 }
 
-func TestCacheReducesIO(t *testing.T) {
-	run := func(frames int) uint64 {
-		ix, err := New(Options{Dims: 2, PageCapacity: 8, CacheFrames: frames})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ix.Close()
-		keys := randKeys(2000, 2, 3)
-		for i, k := range keys {
-			if err := ix.Insert(k, uint64(i)); err != nil {
+// TestCacheFramesIgnored: every constructor accepts the retired byte
+// pool's size and ignores it — the index works, Options reports
+// CacheFrames 0, and PoolStats reports no pool.
+func TestCacheFramesIgnored(t *testing.T) {
+	dir := t.TempDir()
+	seed := filepath.Join(dir, "seed.bmeh")
+	ix, err := Create(seed, Options{Dims: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		open func() (*Index, error)
+	}{
+		{"New", func() (*Index, error) { return New(Options{Dims: 2, CacheFrames: 64}) }},
+		{"Create", func() (*Index, error) {
+			return Create(filepath.Join(dir, "created.bmeh"), Options{Dims: 2, CacheFrames: 64})
+		}},
+		{"Open", func() (*Index, error) { return Open(seed, 64) }},
+		{"OpenWithOptions", func() (*Index, error) { return OpenWithOptions(seed, Options{CacheFrames: 64}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix, err := tc.open()
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		for _, k := range keys {
-			if _, ok, _ := ix.Get(k); !ok {
-				t.Fatal("lost key")
+			defer ix.Close()
+			k := Key{7, 9}
+			if err := ix.Insert(k, 42); err != nil && err != ErrDuplicate {
+				t.Fatal(err)
 			}
-		}
-		st := ix.Stats()
-		return st.Reads + st.Writes
-	}
-	raw := run(0)
-	cached := run(1024)
-	if cached >= raw/4 {
-		t.Errorf("cache barely helped: raw=%d cached=%d", raw, cached)
+			if v, ok, err := ix.Get(k); err != nil || !ok || v != 42 {
+				t.Fatalf("Get = %d, %v, %v", v, ok, err)
+			}
+			if err := ix.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if got := ix.Options().CacheFrames; got != 0 {
+				t.Fatalf("Options().CacheFrames = %d, want 0", got)
+			}
+			if st, ok := ix.PoolStats(); ok || st != (PoolStats{}) {
+				t.Fatalf("PoolStats = %+v, %v; want zero, false", st, ok)
+			}
+		})
 	}
 }
 

@@ -23,7 +23,7 @@ func bulkIter(n uint64) func() (KV, bool, error) {
 // recover every record.
 func TestBulkLoadFsck(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bulk.bmeh")
-	ix, err := Create(path, Options{Dims: 2, PageCapacity: 32, CacheFrames: 1024})
+	ix, err := Create(path, Options{Dims: 2, PageCapacity: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

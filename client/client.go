@@ -538,6 +538,13 @@ func (c *Client) Put(key bmeh.Key, value uint64) error {
 
 // Delete removes key, reporting whether it was present. Not retried: a
 // replayed delete would misreport an already-removed key as absent.
+//
+// Unlike Put, the ack does not wait for a commit: the server answers as
+// soon as the delete is applied in memory. The delete is visible to later
+// reads on the primary at once, but it becomes durable — and reaches
+// replicas — only with the server's next commit (a PUT batch, a Batch, a
+// Sync, or the drain on shutdown). Call Sync after Delete when the delete
+// must survive a crash.
 func (c *Client) Delete(key bmeh.Key) (bool, error) {
 	call, err := c.roundTrip(wire.OpDel, wire.AppendGetReq(nil, key), true, false)
 	if err != nil {

@@ -17,7 +17,7 @@ import (
 
 func newServer(t *testing.T) (*server.Server, *bmeh.Index, string, chan error) {
 	t.Helper()
-	ix, err := bmeh.New(bmeh.Options{Dims: 2, CacheFrames: 256})
+	ix, err := bmeh.New(bmeh.Options{Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestRequestTimeout(t *testing.T) {
 // redials after the server returns, and idempotent sync calls succeed
 // again.
 func TestServerRestartMidPipeline(t *testing.T) {
-	ix, err := bmeh.New(bmeh.Options{Dims: 2, CacheFrames: 256})
+	ix, err := bmeh.New(bmeh.Options{Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

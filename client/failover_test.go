@@ -24,7 +24,7 @@ import (
 // to call early (and exactly once more via cleanup is a no-op).
 func startMemServer(t *testing.T, cfg server.Config) (*bmeh.Index, string, func()) {
 	t.Helper()
-	ix, err := bmeh.New(bmeh.Options{Dims: 2, CacheFrames: 256})
+	ix, err := bmeh.New(bmeh.Options{Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestStaleReplicaDemoted(t *testing.T) {
 
 	// The "replica" holds a divergent value so the test can see which
 	// node answered, and reports an enormous lag via STATS.
-	rix, err := bmeh.New(bmeh.Options{Dims: 2, CacheFrames: 64})
+	rix, err := bmeh.New(bmeh.Options{Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestBusySurfacesWithoutRetries(t *testing.T) {
 // TestReadOnlyReplicaRefusesWrites: a replica server answers writes
 // with the typed ErrReadOnly, and the client does not retry them.
 func TestReadOnlyReplicaRefusesWrites(t *testing.T) {
-	rix, err := bmeh.New(bmeh.Options{Dims: 2, CacheFrames: 64})
+	rix, err := bmeh.New(bmeh.Options{Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

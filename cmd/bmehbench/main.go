@@ -11,7 +11,6 @@
 //	bmehbench -rangecost           # Theorem 4 experiment
 //	bmehbench -ablation            # BMEH node-size (φ) sweep
 //	bmehbench -noise               # §3 degeneration experiment
-//	bmehbench -cache               # page-cache (physical I/O) ablation
 //	bmehbench -figure 6 -csv       # growth curve as CSV
 //	bmehbench -table 2 -n 8000     # scaled-down run
 //
@@ -35,7 +34,6 @@ func main() {
 		rangeCost = flag.Bool("rangecost", false, "run the Theorem 4 range-cost experiment")
 		ablation  = flag.Bool("ablation", false, "run the BMEH-tree node-size (φ) sweep")
 		noise     = flag.Bool("noise", false, "run the §3 degeneration experiment (noise-burst keys)")
-		cache     = flag.Bool("cache", false, "run the buffer-pool (physical I/O) ablation")
 		asCSV     = flag.Bool("csv", false, "emit figures as CSV for external plotting")
 		all       = flag.Bool("all", false, "run every table, figure and extra experiment")
 		n         = flag.Int("n", 40000, "keys to insert per run (paper: 40000)")
@@ -99,14 +97,6 @@ func main() {
 			fmt.Println()
 		}
 	}
-	runCache := func() {
-		ran = true
-		progress("buffer-pool ablation...\n")
-		rows, err := sim.RunCacheAblation(sim.Uniform, 2, 8, *n, *seed)
-		fail(err)
-		sim.FormatCache(os.Stdout, rows, *n)
-		fmt.Println()
-	}
 	runNoise := func() {
 		ran = true
 		progress("§3 degeneration experiment...\n")
@@ -130,7 +120,6 @@ func main() {
 		}
 		runRange()
 		runAblation()
-		runCache()
 		runNoise()
 	default:
 		if *table != 0 {
@@ -147,9 +136,6 @@ func main() {
 		}
 		if *noise {
 			runNoise()
-		}
-		if *cache {
-			runCache()
 		}
 	}
 	if !ran {

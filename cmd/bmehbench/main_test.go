@@ -46,8 +46,6 @@ func TestSmoke(t *testing.T) {
 	}{
 		{[]string{"-table", "2", "-n", "2000", "-q"},
 			[]string{"Table 2:", "(N=2000)", "MDEH", "MEH-Tree", "BMEH-Tree", "(λ)", "(ρ)", "(α)", "(σ)"}},
-		{[]string{"-cache", "-n", "2000", "-q"},
-			[]string{"buffer pool", "N=2000", "none", "4096"}},
 	} {
 		stdout, stderr, code := runBench(t, tc.args...)
 		if code != 0 {
@@ -65,10 +63,11 @@ func TestSmoke(t *testing.T) {
 	}
 }
 
-// TestUsage: no experiment selected, and a flag of a retired system leg,
-// both end in the usage text and exit 2 rather than a silent no-op.
+// TestUsage: no experiment selected, and a retired flag (a system leg, the
+// buffer-pool ablation), all end in the usage text and exit 2 rather than
+// a silent no-op.
 func TestUsage(t *testing.T) {
-	for _, args := range [][]string{nil, {"-concurrent"}} {
+	for _, args := range [][]string{nil, {"-concurrent"}, {"-cache"}} {
 		stdout, stderr, code := runBench(t, args...)
 		if code != 2 || stdout != "" || !strings.Contains(stderr, "-table") {
 			t.Errorf("%v: exit %d, stdout %q, stderr:\n%s", args, code, stdout, stderr)

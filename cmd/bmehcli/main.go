@@ -285,7 +285,7 @@ func openIndex(mem bool, scheme string, dims, capacity int, path string) (*bmeh.
 	default:
 		return nil, fmt.Errorf("unknown scheme %q", scheme)
 	}
-	return bmeh.Create(path, bmeh.Options{Scheme: s, Dims: dims, PageCapacity: capacity, CacheFrames: 256})
+	return bmeh.Create(path, bmeh.Options{Scheme: s, Dims: dims, PageCapacity: capacity})
 }
 
 func parseKey(args []string, d int) (bmeh.Key, []string, error) {

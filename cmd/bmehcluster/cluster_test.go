@@ -78,7 +78,7 @@ func TestClusterProcessKillPrimary(t *testing.T) {
 	}
 	c, err := launch(os.Args[0], launchOptions{
 		Shards: 2, Replicas: 1, Dir: t.TempDir(),
-		Capacity: 16, Cache: 512, SnapMaxPinAge: time.Minute,
+		Capacity: 16, SnapMaxPinAge: time.Minute,
 		Logf: t.Logf,
 	})
 	if err != nil {
@@ -248,7 +248,7 @@ func TestClusterProcessShardIdentity(t *testing.T) {
 		t.Skip("process e2e test")
 	}
 	c, err := launch(os.Args[0], launchOptions{
-		Shards: 2, Replicas: 1, Dir: t.TempDir(), Capacity: 16, Cache: 256, Logf: t.Logf,
+		Shards: 2, Replicas: 1, Dir: t.TempDir(), Capacity: 16, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

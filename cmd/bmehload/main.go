@@ -276,10 +276,9 @@ func main() {
 		out      = flag.String("o", "", "output index file (required)")
 		capacity = flag.Int("b", 32, "data page capacity")
 		header   = flag.Bool("header", true, "skip the first CSV row")
-		cacheN   = flag.Int("cache", 1024, "page cache frames")
 		batchN   = flag.Int("batch", 1024, "rows per InsertBatch (1 = per-row inserts)")
 		bulk     = flag.Bool("bulk", false, "build bottom-up with BulkLoad (sort, carve pages, one commit)")
-		backend  = flag.String("backend", "file", "storage engine: file (pread) or mmap (zero-copy reads; ignores -cache)")
+		backend  = flag.String("backend", "file", "storage engine: file (pread) or mmap (zero-copy reads)")
 	)
 	flag.Var(&cols, "col", "key column spec TYPE:INDEX[:LO:HI] (repeatable, in dimension order)")
 	flag.Parse()
@@ -310,7 +309,6 @@ func main() {
 	ix, err := bmeh.Create(*out, bmeh.Options{
 		Dims:         len(cols),
 		PageCapacity: *capacity,
-		CacheFrames:  *cacheN,
 		Backend:      be,
 	})
 	if err != nil {

@@ -1,6 +1,6 @@
-// Persistence: create a file-backed BMEH-tree index with a page cache,
-// load it with data, close it, reopen it, and keep working — demonstrating
-// the durable lifecycle (Create / Sync / Close / Open) and cache effects.
+// Persistence: create a file-backed BMEH-tree index, load it with data,
+// close it, reopen it, and keep working — demonstrating the durable
+// lifecycle (Create / Sync / Close / Open).
 package main
 
 import (
@@ -23,11 +23,7 @@ func main() {
 	path := filepath.Join(dir, "sensors.bmeh")
 
 	// Phase 1: build a (time, sensor) index of synthetic measurements.
-	ix, err := bmeh.Create(path, bmeh.Options{
-		Dims:         2,
-		PageCapacity: 32,
-		CacheFrames:  512,
-	})
+	ix, err := bmeh.Create(path, bmeh.Options{Dims: 2, PageCapacity: 32})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +51,7 @@ func main() {
 	fmt.Printf("index file: %d KiB\n", info.Size()/1024)
 
 	// Phase 2: reopen and query.
-	re, err := bmeh.Open(path, 512)
+	re, err := bmeh.OpenWithOptions(path, bmeh.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,7 +36,8 @@ type Options struct {
 	// Dims and Capacity size new indexes (defaults 2 and 32).
 	Dims     int
 	Capacity int
-	// Cache is the page-cache frames per node (default 512).
+	// Cache is ignored. It sized the retired byte-level page pool; the
+	// field stays so existing callers compile.
 	Cache int
 	// SnapMaxPinAge force-releases abandoned snapshot pins (0 = never).
 	SnapMaxPinAge time.Duration
@@ -53,9 +54,6 @@ func (o *Options) defaults() {
 	}
 	if o.Capacity <= 0 {
 		o.Capacity = 32
-	}
-	if o.Cache <= 0 {
-		o.Cache = 512
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -210,7 +208,6 @@ func (c *Cluster) indexOptions() bmeh.Options {
 	return bmeh.Options{
 		Dims:              c.opts.Dims,
 		PageCapacity:      c.opts.Capacity,
-		CacheFrames:       c.opts.Cache,
 		WriteMode:         bmeh.WriteModeCOW,
 		SyncPolicy:        bmeh.SyncPolicy{Interval: 200 * time.Microsecond, MaxBatch: 64},
 		SnapshotMaxPinAge: c.opts.SnapMaxPinAge,
@@ -253,7 +250,7 @@ func (c *Cluster) startPrimary(path string) (*node, error) {
 // startReplica follows primaryAddr with a fresh store at path and waits
 // until the initial snapshot has landed, so the node can serve reads.
 func (c *Cluster) startReplica(path, primaryAddr string) (*node, error) {
-	target, err := bmeh.NewReplicaTarget(path, c.opts.Cache)
+	target, err := bmeh.NewReplicaTarget(path)
 	if err != nil {
 		return nil, err
 	}

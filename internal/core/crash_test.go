@@ -28,10 +28,11 @@ func TestCrashMatrix(t *testing.T) {
 	testCrashMatrix(t, pagestore.SyncPolicy{}, 240, false, false)
 }
 
-// TestCrashMatrixGroupCommit re-runs the sweep with WAL group commit
-// enabled: the coalesced Sync path must provide the same commit-boundary
-// atomicity as the direct one. (Fewer points than the direct sweep; the
-// commit machinery under test is identical at every point.)
+// TestCrashMatrixGroupCommit re-runs the sweep with every commit routed
+// through a GroupCommitter: the coalesced path must provide the same
+// commit-boundary atomicity as the direct one. (Fewer points than the
+// direct sweep; the commit machinery under test is identical at every
+// point.)
 func TestCrashMatrixGroupCommit(t *testing.T) {
 	testCrashMatrix(t, pagestore.SyncPolicy{MaxBatch: 4}, 60, false, false)
 }
@@ -139,7 +140,6 @@ func testCrashMatrix(t *testing.T, policy pagestore.SyncPolicy, points int64, mm
 		if err != nil {
 			return nil, nil, err
 		}
-		fd.SetSyncPolicy(policy)
 		tr, err := New(st, prm)
 		if err != nil {
 			return nil, nil, err
@@ -157,6 +157,11 @@ func testCrashMatrix(t *testing.T, policy pagestore.SyncPolicy, points int64, mm
 				return err
 			}
 			return fd.Sync()
+		}
+		if policy.Enabled() {
+			// The shape bmeh.Index uses: the committer coalesces the whole
+			// flush + meta + commit sequence, not the store's Sync alone.
+			commit = pagestore.NewGroupCommitter(policy, commit).Sync
 		}
 		if err := commit(); err != nil {
 			return nil, nil, err

@@ -109,84 +109,6 @@ func TestFaultInjection(t *testing.T) {
 	}
 }
 
-// TestFaultInjectionCachedStore repeats the faulty insert/delete workload
-// with a small write-back buffer pool between the tree and the faulting
-// store, so faults also fire on eviction and flush traffic — the shape a
-// cached production deployment sees — instead of synchronously inside the
-// faulting operation only.
-func TestFaultInjectionCachedStore(t *testing.T) {
-	prm := params.Default(2, 4)
-	inner := pagestore.NewMemDisk(PageBytes(prm))
-	fs := pagestore.NewFaultStore(inner, -1)
-	cs := pagestore.NewCachedStore(fs, 16) // tiny pool: constant eviction
-	tr, err := New(cs, prm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := workload.Uniform(2, 77)
-	keys := gen.Take(1500)
-	faults := 0
-	for i, k := range keys {
-		if i%6 == 1 {
-			fs.Arm(int64(i % 10))
-		}
-		err := tr.Insert(k, uint64(i))
-		fs.Disarm()
-		if err != nil {
-			if !errors.Is(err, pagestore.ErrInjected) {
-				t.Fatalf("insert %d: unexpected error %v", i, err)
-			}
-			faults++
-			if err := tr.Insert(k, uint64(i)); err != nil && !errors.Is(err, ErrDuplicate) {
-				t.Fatalf("insert %d retry: %v", i, err)
-			}
-		}
-	}
-	if faults == 0 {
-		t.Fatal("no fault fired through the buffer pool")
-	}
-	if err := cs.Flush(); err != nil {
-		t.Fatalf("flush after faulty inserts: %v", err)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatalf("after faulty inserts: %v", err)
-	}
-	for i, k := range keys {
-		if v, ok, err := tr.Search(k); err != nil || !ok || v != uint64(i) {
-			t.Fatalf("key %d lost behind the pool (v=%d ok=%v err=%v)", i, v, ok, err)
-		}
-	}
-	delFaults := 0
-	for i, k := range keys {
-		if i%4 == 2 {
-			fs.Arm(int64(i % 8))
-		}
-		_, err := tr.Delete(k)
-		fs.Disarm()
-		if err != nil {
-			if !errors.Is(err, pagestore.ErrInjected) {
-				t.Fatalf("delete %d: unexpected error %v", i, err)
-			}
-			delFaults++
-			if _, err := tr.Delete(k); err != nil {
-				t.Fatalf("delete %d retry: %v", i, err)
-			}
-		}
-	}
-	if delFaults == 0 {
-		t.Fatal("no delete fault fired through the buffer pool")
-	}
-	if err := cs.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("%d records left after deleting every key", tr.Len())
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatalf("after faulty deletes: %v", err)
-	}
-}
-
 // TestFaultInjectionTargetedKinds aims faults at directory pages only,
 // then at data pages only, verifying that failures confined to either
 // page population still surface cleanly and leave the tree valid with

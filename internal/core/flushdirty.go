@@ -9,10 +9,10 @@ package core
 // however many inserts it absorbed in between, which is where the batching
 // win comes from.
 //
-// Durability is unchanged: the page pool above the store is itself
-// write-back, so page bytes were never durable before Sync — the commit
-// boundary. Every flush entry point below runs before the pool flush on
-// that path. Trees with read accounting (the experiment harness) keep the
+// Durability is unchanged: the store stages every page write in memory
+// until Sync — the commit boundary — so page bytes were never durable
+// before it. Every flush entry point below runs before the store commit
+// on that path. Trees with read accounting (the experiment harness) keep the
 // write-through path instead: the paper's access model counts one page
 // write per insert, and deferred batching would fold those writes together.
 //

@@ -55,9 +55,13 @@ type objCacheStats struct {
 	Hits, Misses, Evictions, Invalidations uint64
 }
 
-// objShard is one lock stripe of an objCache.
+// objShard is one lock stripe of an objCache. Every holder of mu does a
+// few map and atomic operations and nothing else, so a plain mutex, whose
+// waiters spin briefly before parking, fits better than an RWMutex: there
+// a reader behind a writer, or a writer behind readers, parks at once and
+// waits out a full goroutine wake-up for a section of nanoseconds.
 type objShard[V any] struct {
-	mu sync.RWMutex
+	mu sync.Mutex
 	m  map[pagestore.PageID]*objEntry[V]
 }
 
@@ -75,9 +79,9 @@ type objEntry[V any] struct {
 }
 
 // objCache is a sharded, capacity-bounded map from PageID to a decoded
-// object with second-chance (CLOCK-approximating) eviction. Gets run under
-// shard read locks; puts and invalidations take the shard write lock.
-// Capacity 0 disables the cache (every get misses, puts are dropped).
+// object with second-chance (CLOCK-approximating) eviction. Every
+// operation takes its shard's lock. Capacity 0 disables the cache (every
+// get misses, puts are dropped).
 type objCache[V any] struct {
 	shards   [objCacheShards]objShard[V]
 	perShard int
@@ -110,13 +114,13 @@ func (c *objCache[V]) get(id pagestore.PageID) (V, bool) {
 		return v, false
 	}
 	s := c.shard(id)
-	s.mu.RLock()
+	s.mu.Lock()
 	e, ok := s.m[id]
 	if ok {
 		e.ref.Store(true)
 		v = e.val
 	}
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	if !ok {
 		c.misses.Add(1)
 		return v, false
@@ -206,20 +210,20 @@ func (c *objCache[V]) putIfAbsent(id pagestore.PageID, v V) {
 // is not (cache disabled, or the entry was evicted before the caller's
 // mutation), the caller must fall back to writing the page through.
 // newly distinguishes the first marking from re-dirtying, so each page
-// enters the flush queue once. Runs under the shard read lock, which the
-// eviction sweep's write lock excludes.
+// enters the flush queue once. Runs under the shard lock, which the
+// eviction sweep also holds.
 func (c *objCache[V]) markDirty(id pagestore.PageID) (newly, ok bool) {
 	if c.perShard == 0 {
 		return false, false
 	}
 	s := c.shard(id)
-	s.mu.RLock()
+	s.mu.Lock()
 	e, ok := s.m[id]
 	if ok {
 		e.ref.Store(true)
 		newly = e.dirty.CompareAndSwap(false, true)
 	}
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	return newly, ok
 }
 
@@ -232,14 +236,14 @@ func (c *objCache[V]) getIfDirty(id pagestore.PageID) (V, bool) {
 		return v, false
 	}
 	s := c.shard(id)
-	s.mu.RLock()
+	s.mu.Lock()
 	e, ok := s.m[id]
 	if ok && e.dirty.Load() {
 		v = e.val
 	} else {
 		ok = false
 	}
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	return v, ok
 }
 
@@ -251,11 +255,11 @@ func (c *objCache[V]) clearDirty(id pagestore.PageID) {
 		return
 	}
 	s := c.shard(id)
-	s.mu.RLock()
+	s.mu.Lock()
 	if e, ok := s.m[id]; ok {
 		e.dirty.Store(false)
 	}
-	s.mu.RUnlock()
+	s.mu.Unlock()
 }
 
 // invalidate drops the entry for id, if any.
@@ -277,11 +281,11 @@ func (c *objCache[V]) invalidate(id pagestore.PageID) {
 func (c *objCache[V]) forEach(fn func(id pagestore.PageID, v V)) {
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.mu.RLock()
+		s.mu.Lock()
 		for id, e := range s.m {
 			fn(id, e.val)
 		}
-		s.mu.RUnlock()
+		s.mu.Unlock()
 	}
 }
 
@@ -290,9 +294,9 @@ func (c *objCache[V]) len() int {
 	n := 0
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.mu.RLock()
+		s.mu.Lock()
 		n += len(s.m)
-		s.mu.RUnlock()
+		s.mu.Unlock()
 	}
 	return n
 }
@@ -344,4 +348,23 @@ func (t *Tree) SetDecodedCacheCapacity(nodes, pages int) error {
 	t.nc = newObjCache[*dirnode.Node](nodes)
 	t.pc = newObjCache[*datapage.Page](pages)
 	return nil
+}
+
+// AdoptDecodedCaches hands prev's decoded caches to t after dropping the
+// entries of the pages a replicated batch rewrote (changed). A replica
+// reloads its tree from the replicated header after every applied batch;
+// the batch carries every page it changed, so every other cached node and
+// page is still exact, and the reloaded tree keeps serving them instead of
+// reading the store again. A prev with deferred page writes keeps its
+// caches (t starts cold). prev must not be used afterwards. Not safe to
+// call concurrently with operations on either tree.
+func (t *Tree) AdoptDecodedCaches(prev *Tree, changed []pagestore.Frame) {
+	if prev.dirtyLen.Load() != 0 {
+		return
+	}
+	for _, f := range changed {
+		prev.nc.invalidate(f.ID)
+		prev.pc.invalidate(f.ID)
+	}
+	t.nc, t.pc = prev.nc, prev.pc
 }

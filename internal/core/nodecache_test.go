@@ -106,9 +106,9 @@ func TestObjCacheEviction(t *testing.T) {
 		c.put(id, i)
 	}
 	s := &c.shards[0]
-	s.mu.RLock()
+	s.mu.Lock()
 	n := len(s.m)
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	if n > c.perShard {
 		t.Fatalf("shard holds %d entries, capacity %d", n, c.perShard)
 	}

@@ -9,8 +9,7 @@ import (
 )
 
 // Backend-conformance suite: every Store implementation — MemDisk,
-// FileDisk, MmapDisk (and the pool layers where a behavior applies) —
-// must agree on the observable contract, so an index can switch backends
+// FileDisk, MmapDisk — must agree on the observable contract, so an index can switch backends
 // without changing behavior. The file-backed cases run over real files in
 // a temp dir; on platforms without mmap the "mmap" case still runs,
 // exercising the MmapDisk wrapper over its pread fallback.
@@ -66,8 +65,8 @@ func TestBackendContract(t *testing.T) {
 
 // TestBackendShortBuffer is the shared regression for the typed short-
 // buffer error: Read into a buffer smaller than PageSize must return an
-// error wrapping ErrShortBuffer — on every backend, and through the
-// buffer-pool layer — and must not touch the buffer.
+// error wrapping ErrShortBuffer — on every backend — and must not touch
+// the buffer.
 func TestBackendShortBuffer(t *testing.T) {
 	const ps = 128
 	cases := map[string]func(t *testing.T) Store{
@@ -85,11 +84,6 @@ func TestBackendShortBuffer(t *testing.T) {
 				t.Fatal(err)
 			}
 			return st
-		},
-		"cached": func(t *testing.T) Store { return NewCachedStore(NewMemDisk(ps), 4) },
-		"sharded": func(t *testing.T) Store {
-			mem := NewMemDisk(ps)
-			return &CachedStore{inner: mem, pool: NewShardedPool(mem, 8, 2)}
 		},
 	}
 	for name, mk := range cases {

@@ -81,9 +81,13 @@ type FileDisk struct {
 	// frames (meta page last). Frames are not reused afterwards, so the
 	// hook may retain them. See SetCommitHook.
 	hook func(seq uint64, frames []Frame)
-	// gc, when non-nil, coalesces Sync calls (group commit). Stored
-	// atomically so Sync can consult it without taking mu.
-	gc atomic.Pointer[GroupCommitter]
+	// slots pools Read's slot buffers (*[]byte of slotSize bytes) for the
+	// pread path, so a read that misses every cache above allocates nothing.
+	slots sync.Pool
+	// homeGen moves whenever home slots are rewritten (commitLocked) or
+	// the file is released (Close), both under mu. Read's pread runs
+	// outside mu and keeps its bytes only if homeGen stood still meanwhile.
+	homeGen atomic.Uint64
 	// view, when non-nil, is a zero-copy window onto the main file (the
 	// mmap backend attaches it; see MmapDisk). Page reads are then served
 	// straight out of the mapping instead of through ReadAt copies. Set
@@ -370,13 +374,18 @@ func (d *FileDisk) readSlot(id PageID, want Kind) ([]byte, error) {
 		return sl[:d.pageSize:d.pageSize], nil
 	}
 	buf := make([]byte, d.slotSize())
-	if _, err := d.f.ReadAt(buf, int64(id)*d.slotSize()); err != nil {
-		return nil, fmt.Errorf("pagestore: page %d unreadable: %w", id, ErrCorrupt)
-	}
-	if err := verifySlot(buf, d.pageSize, id, want); err != nil {
+	if err := d.preadSlot(buf, id, want); err != nil {
 		return nil, err
 	}
 	return buf[:d.pageSize], nil
+}
+
+// preadSlot reads one slot into buf (slotSize bytes) and verifies it.
+func (d *FileDisk) preadSlot(buf []byte, id PageID, want Kind) error {
+	if _, err := d.f.ReadAt(buf, int64(id)*d.slotSize()); err != nil {
+		return fmt.Errorf("pagestore: page %d unreadable: %w", id, ErrCorrupt)
+	}
+	return verifySlot(buf, d.pageSize, id, want)
 }
 
 // isVerified/markVerified/clearVerified maintain the verify-once bitmap.
@@ -540,26 +549,77 @@ func (d *FileDisk) Free(id PageID) error {
 }
 
 // Read implements Store. A checksum mismatch on the on-disk page returns
-// an error wrapping ErrCorrupt.
+// an error wrapping ErrCorrupt and leaves buf untouched. A committed page
+// read through pread allocates nothing and holds mu only around its
+// bookkeeping: the slot lands in a pooled buffer outside the lock, is
+// verified there, and only then copied out, so concurrent readers never
+// wait on one another's syscalls.
 func (d *FileDisk) Read(id PageID, buf []byte) error {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
+	onDisk, err := d.readLocked(id, buf)
+	if err == nil {
+		d.stats.Reads++
 	}
-	if err := d.checkLocked(id); err != nil {
+	if err != nil || !onDisk {
+		d.mu.Unlock()
 		return err
 	}
-	if len(buf) < d.pageSize {
-		return fmt.Errorf("pagestore: read buffer %d bytes < page size %d: %w", len(buf), d.pageSize, ErrShortBuffer)
+	kind, gen := d.kinds[id], d.homeGen.Load()
+	d.mu.Unlock()
+	slot := d.slotBuf()
+	defer d.slots.Put(slot)
+	err = d.preadSlot(*slot, id, kind)
+	if d.homeGen.Load() != gen {
+		// A commit rewrote home slots, or Close released the file, while
+		// the pread ran, so the bytes may be torn. Read again holding mu,
+		// which both of those hold.
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		if onDisk, err = d.readLocked(id, buf); err != nil || !onDisk {
+			return err
+		}
+		err = d.preadSlot(*slot, id, d.kinds[id])
 	}
-	page, err := d.stagedOrDisk(id)
 	if err != nil {
 		return err
 	}
-	copy(buf[:d.pageSize], page)
-	d.stats.Reads++
+	copy(buf[:d.pageSize], *slot)
 	return nil
+}
+
+// readLocked checks a Read. A page held in memory (staged, or in the
+// mapping) is copied into buf at once; onDisk reports that it must be read
+// from its home slot instead. Caller holds mu.
+func (d *FileDisk) readLocked(id PageID, buf []byte) (onDisk bool, err error) {
+	if d.closed {
+		return false, ErrClosed
+	}
+	if err := d.checkLocked(id); err != nil {
+		return false, err
+	}
+	if len(buf) < d.pageSize {
+		return false, fmt.Errorf("pagestore: read buffer %d bytes < page size %d: %w", len(buf), d.pageSize, ErrShortBuffer)
+	}
+	page, staged := d.dirty[id]
+	if !staged {
+		if d.view == nil {
+			return true, nil
+		}
+		if page, err = d.slotViewLocked(id); err != nil {
+			return false, err
+		}
+	}
+	copy(buf[:d.pageSize], page)
+	return false, nil
+}
+
+// slotBuf returns a slot-sized buffer from d.slots; Put it back after use.
+func (d *FileDisk) slotBuf() *[]byte {
+	if b, ok := d.slots.Get().(*[]byte); ok {
+		return b
+	}
+	b := make([]byte, d.slotSize())
+	return &b
 }
 
 // Write implements Store. The page image is staged in memory; it reaches
@@ -695,48 +755,19 @@ func (d *FileDisk) Dirty() int {
 	return len(d.dirty)
 }
 
-// SetSyncPolicy enables (or, with the zero policy, disables) group
-// commit: concurrent and back-to-back Sync calls coalesce into one WAL
-// commit and fsync pair. Durability semantics are unchanged — when Sync
-// returns, everything staged before the call is durable — only the fsync
-// traffic shrinks.
-func (d *FileDisk) SetSyncPolicy(p SyncPolicy) {
-	if !p.Enabled() {
-		d.gc.Store(nil)
-		return
-	}
-	d.gc.Store(NewGroupCommitter(p, d.syncNow))
-}
-
-// GroupCommitCounts reports Sync calls served and commits executed since
-// group commit was enabled (both zero when it is off).
-func (d *FileDisk) GroupCommitCounts() (syncs, commits uint64) {
-	if gc := d.gc.Load(); gc != nil {
-		return gc.Counts()
-	}
-	return 0, 0
-}
-
-// syncNow is the direct commit path (and the group-commit leader's work).
-func (d *FileDisk) syncNow() error {
+// Sync atomically commits all staged writes: it journals every dirty page
+// and the meta page to the WAL, fsyncs, applies them to their home slots,
+// fsyncs the main file, and resets the WAL. After Sync returns, the commit
+// survives any crash; if Sync fails, the previous commit survives instead.
+// Callers that want concurrent Syncs to share one commit wrap the commit
+// sequence in a GroupCommitter, as bmeh.Index does.
+func (d *FileDisk) Sync() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return ErrClosed
 	}
 	return d.syncLocked()
-}
-
-// Sync atomically commits all staged writes: it journals every dirty page
-// and the meta page to the WAL, fsyncs, applies them to their home slots,
-// fsyncs the main file, and resets the WAL. After Sync returns, the commit
-// survives any crash; if Sync fails, the previous commit survives instead.
-// With a SyncPolicy set, concurrent Sync calls share one commit.
-func (d *FileDisk) Sync() error {
-	if gc := d.gc.Load(); gc != nil {
-		return gc.Sync()
-	}
-	return d.syncNow()
 }
 
 func (d *FileDisk) syncLocked() error {
@@ -769,6 +800,7 @@ func (d *FileDisk) commitLocked(seq uint64) error {
 	if err := d.wal.Commit(frames); err != nil {
 		return err
 	}
+	d.homeGen.Add(1)
 	for _, fr := range frames {
 		if _, err := d.f.WriteAt(encodeSlot(fr.Data, fr.Kind), int64(fr.ID)*d.slotSize()); err != nil {
 			return err
@@ -808,6 +840,7 @@ func (d *FileDisk) Close() error {
 	}
 	d.closed = true
 	err := d.syncLocked()
+	d.homeGen.Add(1)
 	if werr := d.wal.Close(); err == nil {
 		err = werr
 	}

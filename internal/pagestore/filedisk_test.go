@@ -1,9 +1,14 @@
 package pagestore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 )
 
 func isCorrupt(err error) bool { return errors.Is(err, ErrCorrupt) }
@@ -77,6 +82,125 @@ func TestFileDiskDetectsAnyFlippedByte(t *testing.T) {
 		if !caught {
 			t.Fatalf("offset %d: flip neither failed open nor any page read", off)
 		}
+	}
+}
+
+// TestFileDiskReadAllocatesNothing pins the byte path under every
+// decoded-cache miss: reading a committed, unstaged page through pread
+// allocates nothing.
+func TestFileDiskReadAllocatesNothing(t *testing.T) {
+	d, err := CreateFileDisk(filepath.Join(t.TempDir(), "disk"), 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	id, err := d.Alloc(KindData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Write(id, []byte{0x5A}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 128)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := d.Read(id, buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if buf[0] != 0x5A {
+		t.Fatalf("read back %#x", buf[0])
+	}
+	if allocs != 0 {
+		t.Fatalf("Read of a committed page allocates %v times, want 0", allocs)
+	}
+}
+
+// halvesFile writes every WriteAt in two halves with a pause between
+// them, so a concurrent reader can catch a slot half old, half new.
+type halvesFile struct{ *MemFile }
+
+func (f halvesFile) WriteAt(p []byte, off int64) (int, error) {
+	h := len(p) / 2
+	if _, err := f.MemFile.WriteAt(p[:h], off); err != nil {
+		return 0, err
+	}
+	time.Sleep(20 * time.Microsecond)
+	if _, err := f.MemFile.WriteAt(p[h:], off+int64(h)); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// TestFileDiskReadDuringCommits reads one page from several goroutines
+// while a writer keeps rewriting and committing it. Read's pread runs
+// outside the store lock, so some reads overlap a commit's home-slot
+// write, which halvesFile makes visibly torn; each read must still return
+// a whole committed image, never an error.
+func TestFileDiskReadDuringCommits(t *testing.T) {
+	const pageSize, commits, readers = 512, 300, 3
+	d, err := CreateFileDiskFiles(halvesFile{NewMemFile()}, NewMemFile(), pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	id, err := d.Alloc(KindData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := func(v byte) []byte { return bytes.Repeat([]byte{v}, pageSize) }
+	if err := d.Write(id, image(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	errs := make(chan error, readers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, pageSize)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := d.Read(id, buf); err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(buf, image(buf[0])) {
+					errs <- fmt.Errorf("torn page: starts %#x, holds %d bytes of it", buf[0], bytes.Count(buf, buf[:1]))
+					return
+				}
+			}
+		}()
+	}
+	writeErr := func() error {
+		for i := 1; i <= commits; i++ {
+			if err := d.Write(id, image(byte(i))); err != nil {
+				return err
+			}
+			if err := d.Sync(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}()
+	close(done)
+	wg.Wait()
+	if writeErr != nil {
+		t.Fatal(writeErr)
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -85,15 +85,16 @@ func TestGroupCommitterPropagatesError(t *testing.T) {
 }
 
 // TestFileDiskGroupCommitDurability runs concurrent writers each syncing
-// their own page through a group-committing FileDisk, then reopens the
-// surviving bytes: every synced page must be durable.
+// their own page through a GroupCommitter wrapped around the FileDisk's
+// commit (the shape bmeh.Index uses), then reopens the surviving bytes:
+// every synced page must be durable.
 func TestFileDiskGroupCommitDurability(t *testing.T) {
 	main, wal := NewMemFile(), NewMemFile()
 	fd, err := CreateFileDiskFiles(main, wal, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd.SetSyncPolicy(SyncPolicy{Interval: time.Millisecond, MaxBatch: 8})
+	gc := NewGroupCommitter(SyncPolicy{Interval: time.Millisecond, MaxBatch: 8}, fd.Sync)
 	const writers = 8
 	ids := make([]PageID, writers)
 	var wg sync.WaitGroup
@@ -112,13 +113,13 @@ func TestFileDiskGroupCommitDurability(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := fd.Sync(); err != nil {
+			if err := gc.Sync(); err != nil {
 				t.Error(err)
 			}
 		}(i)
 	}
 	wg.Wait()
-	syncs, commits := fd.GroupCommitCounts()
+	syncs, commits := gc.Counts()
 	if syncs != writers {
 		t.Fatalf("syncs = %d, want %d", syncs, writers)
 	}
@@ -137,29 +138,5 @@ func TestFileDiskGroupCommitDurability(t *testing.T) {
 		if got := binary.BigEndian.Uint64(buf); got != uint64(i)+1 {
 			t.Fatalf("page %d holds %d, want %d", id, got, i+1)
 		}
-	}
-}
-
-// TestFileDiskSyncPolicyDisable checks the zero policy restores the
-// direct path.
-func TestFileDiskSyncPolicyDisable(t *testing.T) {
-	fd, err := CreateFileDiskFiles(NewMemFile(), NewMemFile(), 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fd.Close()
-	fd.SetSyncPolicy(SyncPolicy{MaxBatch: 4})
-	if err := fd.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if syncs, _ := fd.GroupCommitCounts(); syncs != 1 {
-		t.Fatalf("group path served %d syncs, want 1", syncs)
-	}
-	fd.SetSyncPolicy(SyncPolicy{})
-	if err := fd.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if syncs, commits := fd.GroupCommitCounts(); syncs != 0 || commits != 0 {
-		t.Fatalf("disabled policy still reports %d/%d", syncs, commits)
 	}
 }

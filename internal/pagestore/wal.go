@@ -279,9 +279,9 @@ type commitGroup struct {
 }
 
 // GroupCommitter coalesces calls to a commit function under a SyncPolicy.
-// FileDisk uses one around its WAL commit; bmeh.Index wraps its whole
-// meta-marshal + flush + commit sequence in another. Safe for concurrent
-// use.
+// bmeh.Index wraps its whole flush + meta-marshal + store commit sequence
+// in one, so a coalesced group shares every step, not only the fsync.
+// Safe for concurrent use.
 type GroupCommitter struct {
 	policy SyncPolicy
 	commit func() error

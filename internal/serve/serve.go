@@ -25,9 +25,9 @@ type Config struct {
 	IndexPath    string // file-backed store; "" means in-memory
 	Create       bool   // create IndexPath if absent
 	Mem          bool
-	Dims         int // new indexes only
-	Capacity     int // new indexes only
-	Cache        int
+	Dims         int    // new indexes only
+	Capacity     int    // new indexes only
+	Cache        int    // ignored: the byte-level page pool it sized is retired
 	Backend      string // storage engine: "file" (pread) or "mmap"
 	SyncInterval time.Duration
 	SyncBatch    int
@@ -84,7 +84,6 @@ func Run(cfg Config, sig <-chan os.Signal, ready func(net.Addr), logw io.Writer)
 	opts := bmeh.Options{
 		Dims:              cfg.Dims,
 		PageCapacity:      cfg.Capacity,
-		CacheFrames:       cfg.Cache,
 		SyncPolicy:        bmeh.SyncPolicy{Interval: cfg.SyncInterval, MaxBatch: cfg.SyncBatch},
 		SnapshotMaxPinAge: cfg.SnapMaxPinAge,
 		Backend:           backend,
@@ -152,7 +151,7 @@ func runReplica(cfg Config, sig <-chan os.Signal, ready func(net.Addr), logw io.
 	if cfg.IndexPath == "" {
 		return errors.New("-replica-of requires -index")
 	}
-	target, err := bmeh.NewReplicaTarget(cfg.IndexPath, cfg.Cache)
+	target, err := bmeh.NewReplicaTarget(cfg.IndexPath)
 	if err != nil {
 		return err
 	}

@@ -100,7 +100,7 @@ func wantLog(t *testing.T, log *syncLog, subs ...string) {
 // expires at once would abort.
 func TestPrimaryLifecycle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ix.bmeh")
-	cfg := Config{IndexPath: path, Create: true, Dims: 2, Capacity: 8, Cache: 64}
+	cfg := Config{IndexPath: path, Create: true, Dims: 2, Capacity: 8}
 
 	n := start(t, cfg)
 	cl := dial(t, n.addr)

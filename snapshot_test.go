@@ -174,7 +174,7 @@ func TestSnapshotConsistencyUnderWriter(t *testing.T) {
 func TestSnapshotWriteToBackup(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "live.bmeh")
-	ix, err := Create(path, Options{Dims: 2, PageCapacity: 8, CacheFrames: 128, WriteMode: WriteModeCOW})
+	ix, err := Create(path, Options{Dims: 2, PageCapacity: 8, WriteMode: WriteModeCOW})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestSnapshotWriteToBackup(t *testing.T) {
 func TestSnapshotCOWPersistence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "idx.bmeh")
 	keys := randKeys(1200, 2, 53)
-	ix, err := Create(path, Options{Dims: 2, PageCapacity: 8, CacheFrames: 128, WriteMode: WriteModeCOW})
+	ix, err := Create(path, Options{Dims: 2, PageCapacity: 8, WriteMode: WriteModeCOW})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestSnapshotCOWPersistence(t *testing.T) {
 	}
 
 	for _, mode := range []WriteMode{WriteModeLatched, WriteModeCOW} {
-		re, err := OpenWithOptions(path, Options{CacheFrames: 128, WriteMode: mode})
+		re, err := OpenWithOptions(path, Options{WriteMode: mode})
 		if err != nil {
 			t.Fatalf("%v: reopen: %v", mode, err)
 		}
