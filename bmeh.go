@@ -71,40 +71,6 @@ func (s Scheme) String() string {
 	}
 }
 
-// Backend selects the storage engine of a file-backed Index.
-type Backend int
-
-const (
-	// BackendFile (default) is the pread/pwrite engine: a page read
-	// preads and verifies the page's slot, then copies the page into the
-	// decoder's pooled buffer.
-	BackendFile Backend = iota
-	// BackendMmap maps the page file into memory and serves reads as
-	// zero-copy slices straight out of the mapping, with msync at the
-	// commit barrier. The on-disk format and crash-consistency protocol
-	// are identical to BackendFile — a file created by one backend opens
-	// under the other. On platforms without mmap support it degrades to
-	// the pread path.
-	BackendMmap
-)
-
-// MmapAvailable reports whether this platform actually maps page files
-// into memory. Where false, BackendMmap still works — it runs on the
-// pread fallback and ReadSlice-equivalent reads return verified copies.
-func MmapAvailable() bool { return pagestore.MmapSupported }
-
-// String implements fmt.Stringer.
-func (b Backend) String() string {
-	switch b {
-	case BackendFile:
-		return "file"
-	case BackendMmap:
-		return "mmap"
-	default:
-		return fmt.Sprintf("Backend(%d)", int(b))
-	}
-}
-
 // WriteMode selects how the BMEH core commits mutations.
 type WriteMode int
 
@@ -169,9 +135,6 @@ type Options struct {
 	// pinned root and the decoded-object cache (plus, below the store,
 	// the OS page cache).
 	CacheFrames int
-	// Backend selects the storage engine for file-backed indexes
-	// (default BackendFile); in-memory indexes (New) ignore it.
-	Backend Backend
 	// SyncPolicy enables commit coalescing (group commit) for Sync: the
 	// zero value commits each Sync individually; a non-zero policy batches
 	// concurrent and back-to-back Sync calls into one WAL commit + fsync
@@ -179,9 +142,8 @@ type Options struct {
 	SyncPolicy SyncPolicy
 	// WriteMode selects the mutation protocol (default WriteModeLatched).
 	// WriteModeCOW enables Snapshot at the cost of page copies on the
-	// write path; it requires SchemeBMEH. Like Backend, the mode is a
-	// property of the process, not the file — either mode opens any index
-	// file.
+	// write path; it requires SchemeBMEH. The mode is a property of the
+	// process, not the file — either mode opens any index file.
 	WriteMode WriteMode
 	// SnapshotMaxPinAge, when positive, bounds how long a Snapshot may
 	// pin its epoch (WriteModeCOW only). Pins older than the bound are
@@ -268,10 +230,6 @@ type Index struct {
 	idx    impl
 	store  pagestore.Store
 	file   *pagestore.FileDisk
-	// mdisk is set when the index runs on BackendMmap; file then aliases
-	// mdisk's embedded FileDisk, so the commit/replication/fsck paths are
-	// shared between backends.
-	mdisk *pagestore.MmapDisk
 	// recovered is the number of committed WAL batches replayed when the
 	// index was opened (0 for New/Create and after a clean shutdown).
 	recovered int
@@ -391,26 +349,12 @@ func Create(path string, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{opts: opts, prm: prm, scheme: opts.Scheme}
-	var st pagestore.Store
-	if opts.Backend == BackendMmap {
-		md, err := pagestore.CreateMmapDisk(path, requiredPageBytes(opts.Scheme, prm))
-		if err != nil {
-			return nil, err
-		}
-		ix.mdisk, ix.file = md, md.FileDisk
-		st = md
-	} else {
-		file, err := pagestore.CreateFileDisk(path, requiredPageBytes(opts.Scheme, prm))
-		if err != nil {
-			return nil, err
-		}
-		ix.file = file
-		st = file
+	file, err := pagestore.CreateFileDisk(path, requiredPageBytes(opts.Scheme, prm))
+	if err != nil {
+		return nil, err
 	}
-	file := ix.file
-	ix.store = st
-	ix.idx, err = buildImpl(opts.Scheme, st, prm)
+	ix := &Index{opts: opts, prm: prm, scheme: opts.Scheme, store: file, file: file}
+	ix.idx, err = buildImpl(opts.Scheme, file, prm)
 	if err != nil {
 		file.Close()
 		return nil, err
@@ -433,30 +377,16 @@ func Open(path string, cacheFrames int) (*Index, error) {
 	return OpenWithOptions(path, Options{})
 }
 
-// OpenWithOptions is Open with the full set of runtime options: Backend,
-// WriteMode and SyncPolicy are honored; geometry fields (Scheme, Dims,
-// PageCapacity, NodeBits, Width) are recovered from the file and ignored
-// in opts.
+// OpenWithOptions is Open with the full set of runtime options: WriteMode,
+// SnapshotMaxPinAge and SyncPolicy are honored; geometry fields (Scheme,
+// Dims, PageCapacity, NodeBits, Width) are recovered from the file and
+// ignored in opts.
 func OpenWithOptions(path string, opts Options) (*Index, error) {
-	backend := opts.Backend
-	ix := &Index{}
-	var st pagestore.Store
-	if backend == BackendMmap {
-		md, err := pagestore.OpenMmapDisk(path)
-		if err != nil {
-			return nil, err
-		}
-		ix.mdisk, ix.file = md, md.FileDisk
-		st = md
-	} else {
-		fd, err := pagestore.OpenFileDisk(path)
-		if err != nil {
-			return nil, err
-		}
-		ix.file = fd
-		st = fd
+	file, err := pagestore.OpenFileDisk(path)
+	if err != nil {
+		return nil, err
 	}
-	file := ix.file
+	ix := &Index{store: file, file: file}
 	// The meta area can hold up to a page: a v3 record carries the COW
 	// deferred free list, which is far larger than the fixed header.
 	meta := make([]byte, file.PageSize())
@@ -465,12 +395,11 @@ func OpenWithOptions(path string, opts Options) (*Index, error) {
 		file.Close()
 		return nil, err
 	}
-	ix.store = st
 	if n == 0 {
 		file.Close()
 		return nil, fmt.Errorf("bmeh: %s has no index header", path)
 	}
-	ix.idx, ix.scheme, ix.prm, err = loadImpl(st, meta[:n])
+	ix.idx, ix.scheme, ix.prm, err = loadImpl(file, meta[:n])
 	if err != nil {
 		file.Close()
 		return nil, fmt.Errorf("bmeh: %s: %w", path, err)
@@ -486,19 +415,20 @@ func OpenWithOptions(path string, opts Options) (*Index, error) {
 			return nil, fmt.Errorf("bmeh: %s: reclaiming retired pages: %w", path, err)
 		}
 	}
+	// applyWriteMode reads ix.opts, so fill it in first.
+	ix.opts = Options{
+		Scheme:            ix.scheme,
+		Dims:              ix.prm.Dims,
+		PageCapacity:      ix.prm.Capacity,
+		NodeBits:          ix.prm.Xi,
+		Width:             ix.prm.Width,
+		WriteMode:         opts.WriteMode,
+		SyncPolicy:        opts.SyncPolicy,
+		SnapshotMaxPinAge: opts.SnapshotMaxPinAge,
+	}
 	if err := ix.applyWriteMode(opts.WriteMode); err != nil {
 		file.Close()
 		return nil, err
-	}
-	ix.opts = Options{
-		Scheme:       ix.scheme,
-		Dims:         ix.prm.Dims,
-		PageCapacity: ix.prm.Capacity,
-		NodeBits:     ix.prm.Xi,
-		Width:        ix.prm.Width,
-		Backend:      backend,
-		WriteMode:    opts.WriteMode,
-		SyncPolicy:   opts.SyncPolicy,
 	}
 	ix.recovered = file.RecoveredCommits()
 	ix.SetSyncPolicy(opts.SyncPolicy)
@@ -506,7 +436,7 @@ func OpenWithOptions(path string, opts Options) (*Index, error) {
 }
 
 // Options returns the index's effective configuration: the scheme,
-// geometry, backend and write settings in force, whether they were given to
+// geometry and write settings in force, whether they were given to
 // New/Create or recovered from a file by Open. The returned value is a
 // copy; mutating it does not affect the index.
 func (ix *Index) Options() Options {
@@ -850,11 +780,13 @@ func (ix *Index) Len() int {
 	return ix.idx.Len()
 }
 
-// Stats reports storage statistics. With a cache enabled, Reads and Writes
-// count physical I/O below the cache.
+// Stats reports storage statistics.
 type Stats struct {
-	// Reads and Writes are page-level I/O counts since creation (or the
-	// last ResetStats call on the underlying store).
+	// Reads and Writes are page-level store accesses since creation (or
+	// the last ResetStats call on the underlying store). In-memory
+	// indexes count logical reads, decoded-cache hits included (the
+	// paper's page accesses); file-backed indexes count only the reads
+	// that reach the file store.
 	Reads, Writes uint64
 	// Records is the number of stored records.
 	Records int
@@ -933,74 +865,6 @@ func (ix *Index) SetSyncPolicy(p SyncPolicy) {
 		}
 		return ix.syncLocked()
 	}))
-}
-
-// AccessPattern is a storage access-pattern hint for Advise.
-type AccessPattern int
-
-const (
-	// AdviseNormal restores the backend's default readahead.
-	AdviseNormal AccessPattern = iota
-	// AdviseRandom disables readahead — right for point-read (Get)
-	// workloads, where readahead only pollutes the page cache.
-	AdviseRandom
-	// AdviseSequential enables aggressive readahead — right for Range,
-	// Scan and BulkLoad sweeps.
-	AdviseSequential
-)
-
-// Advise hints the expected access pattern to the storage backend
-// (madvise on BackendMmap; a no-op on every other backend). Purely
-// advisory: correctness never depends on it.
-func (ix *Index) Advise(p AccessPattern) error {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if ix.closed {
-		return pagestore.ErrClosed
-	}
-	if ix.mdisk == nil {
-		return nil
-	}
-	var pp pagestore.AccessPattern
-	switch p {
-	case AdviseNormal:
-		pp = pagestore.AdviseNormal
-	case AdviseRandom:
-		pp = pagestore.AdviseRandom
-	case AdviseSequential:
-		pp = pagestore.AdviseSequential
-	default:
-		return fmt.Errorf("bmeh: unknown access pattern %d", int(p))
-	}
-	return ix.mdisk.Advise(pp)
-}
-
-// MmapStats is a snapshot of the mmap backend's read-path counters.
-type MmapStats struct {
-	// ZeroCopyReads were served as slices straight out of the mapping.
-	ZeroCopyReads uint64
-	// CopiedReads fell back to an allocated copy (platforms or files
-	// where the mapping could not be established).
-	CopiedReads uint64
-	// StagedReads were served from staged-but-uncommitted page images.
-	StagedReads uint64
-	// ZeroCopy reports whether the store is actually mapped.
-	ZeroCopy bool
-}
-
-// MmapStats reports the mmap backend's read-path counters; ok is false
-// when the index does not run on BackendMmap.
-func (ix *Index) MmapStats() (stats MmapStats, ok bool) {
-	if ix.mdisk == nil {
-		return MmapStats{}, false
-	}
-	s := ix.mdisk.MmapStats()
-	return MmapStats{
-		ZeroCopyReads: s.ZeroCopyReads,
-		CopiedReads:   s.CopiedReads,
-		StagedReads:   s.StagedReads,
-		ZeroCopy:      ix.mdisk.ZeroCopy(),
-	}, true
 }
 
 // SetDecodedCacheCapacity resizes the BMEH core's decoded-object caches

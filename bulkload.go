@@ -89,13 +89,6 @@ func (ix *Index) BulkLoad(next func() (KV, bool, error), opts BulkOptions) (Bulk
 		SpillDir:     opts.SpillDir,
 		Workers:      opts.Workers,
 	}
-	if ix.mdisk != nil {
-		// A bulk build writes (and re-reads) pages sequentially: hint the
-		// mapping accordingly, restore the default when done.
-		if err := ix.Advise(AdviseSequential); err == nil {
-			defer ix.Advise(AdviseNormal)
-		}
-	}
 	if ix.file != nil {
 		// Bound staged-page memory on long loads: flush through the WAL
 		// whenever enough pages pile up. The root swap has not happened,

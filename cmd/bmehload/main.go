@@ -278,7 +278,6 @@ func main() {
 		header   = flag.Bool("header", true, "skip the first CSV row")
 		batchN   = flag.Int("batch", 1024, "rows per InsertBatch (1 = per-row inserts)")
 		bulk     = flag.Bool("bulk", false, "build bottom-up with BulkLoad (sort, carve pages, one commit)")
-		backend  = flag.String("backend", "file", "storage engine: file (pread) or mmap (zero-copy reads)")
 	)
 	flag.Var(&cols, "col", "key column spec TYPE:INDEX[:LO:HI] (repeatable, in dimension order)")
 	flag.Parse()
@@ -297,19 +296,9 @@ func main() {
 	} else if flag.NArg() > 1 {
 		fail(fmt.Errorf("at most one input file"))
 	}
-	var be bmeh.Backend
-	switch *backend {
-	case "", "file":
-		be = bmeh.BackendFile
-	case "mmap":
-		be = bmeh.BackendMmap
-	default:
-		fail(fmt.Errorf("unknown backend %q (want file or mmap)", *backend))
-	}
 	ix, err := bmeh.Create(*out, bmeh.Options{
 		Dims:         len(cols),
 		PageCapacity: *capacity,
-		Backend:      be,
 	})
 	if err != nil {
 		fail(err)

@@ -37,12 +37,13 @@ func TestCrashMatrixGroupCommit(t *testing.T) {
 	testCrashMatrix(t, pagestore.SyncPolicy{MaxBatch: 4}, 60, false, false)
 }
 
-// TestCrashMatrixMmap runs the full sweep against the mmap backend: real
-// mapped files (tmpfs when available) behind the same CrashDisk, so crash
-// points land on msync-era home-slot applies and the recovery path runs
-// over a remapped store serving zero-copy reads. Where the platform has
-// no mmap, OpenMappedFile degrades to a pread file and the sweep still
-// exercises the MmapDisk wrapper's copying fallback.
+// TestCrashMatrixMmap runs the full sweep over real files (tmpfs when
+// available) behind the same CrashDisk. Writes are the same pwrite + fsync
+// as TestCrashMatrix's; what differs is the read side: each file carries
+// its read view across the crash, so every reboot — recovery, validation
+// and the acknowledged-key probes — reads committed pages through the
+// mapping, and the sweep checks that it does. Where the platform has no
+// mmap, OpenMappedFile is a plain file and the reboot reads through pread.
 func TestCrashMatrixMmap(t *testing.T) {
 	testCrashMatrix(t, pagestore.SyncPolicy{}, 240, true, false)
 }
@@ -56,7 +57,7 @@ func TestCrashMatrixCOW(t *testing.T) {
 	testCrashMatrix(t, pagestore.SyncPolicy{}, 240, false, true)
 }
 
-// crashTempDir prefers tmpfs so the sweep's per-operation fsync/msync
+// crashTempDir prefers tmpfs so the sweep's per-operation fsync
 // traffic does not grind a physical disk.
 func crashTempDir(t *testing.T) string {
 	if st, err := os.Stat("/dev/shm"); err == nil && st.IsDir() {
@@ -84,10 +85,10 @@ func testCrashMatrix(t *testing.T, policy pagestore.SyncPolicy, points int64, mm
 		}
 	}
 
-	// File construction differs per backend: the pread sweep runs over
-	// MemFiles; the mmap sweep over real mapped files, reused across the
-	// crash and the reboot exactly as MemFiles are (the mapping survives
-	// the simulated power loss the way the platters survive a real one).
+	// The default sweep runs over MemFiles; the mmap sweep over real files
+	// with read views, reused across the crash and the reboot exactly as
+	// MemFiles are (the file survives the simulated power loss the way the
+	// platters survive a real one).
 	var dir string
 	if mmap {
 		dir = crashTempDir(t)
@@ -101,34 +102,12 @@ func testCrashMatrix(t *testing.T, policy pagestore.SyncPolicy, points int64, mm
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The WAL stays a MemFile: it is an ordinary appended file under
-		// both backends, and keeping it in memory keeps the sweep fast.
+		// The WAL stays a MemFile: it is an ordinary appended file that is
+		// never mapped, and keeping it in memory keeps the sweep fast.
 		return mf, pagestore.NewMemFile(), func() {
 			mf.Close()
 			os.Remove(path)
 		}
-	}
-	createDisk := func(main, wal pagestore.File) (pagestore.Store, *pagestore.FileDisk, error) {
-		if mmap {
-			md, err := pagestore.CreateMmapDiskFiles(main, wal, ps)
-			if err != nil {
-				return nil, nil, err
-			}
-			return md, md.FileDisk, nil
-		}
-		fd, err := pagestore.CreateFileDiskFiles(main, wal, ps)
-		return fd, fd, err
-	}
-	openDisk := func(main, wal pagestore.File) (pagestore.Store, *pagestore.FileDisk, error) {
-		if mmap {
-			md, err := pagestore.OpenMmapDiskFiles(main, wal)
-			if err != nil {
-				return nil, nil, err
-			}
-			return md, md.FileDisk, nil
-		}
-		fd, err := pagestore.OpenFileDiskFiles(main, wal)
-		return fd, fd, err
 	}
 
 	// run executes the workload over a crash-wrapped store, committing
@@ -136,11 +115,11 @@ func testCrashMatrix(t *testing.T, policy pagestore.SyncPolicy, points int64, mm
 	// state — key index → present — as of the last successful commit, and
 	// the operation in flight when the run died.
 	run := func(cd *pagestore.CrashDisk, main, wal pagestore.File, armAt int64, mode pagestore.CrashMode) (acked map[int]bool, pending *crashOp, err error) {
-		st, fd, err := createDisk(cd.File(main), cd.File(wal))
+		fd, err := pagestore.CreateFileDiskFiles(cd.File(main), cd.File(wal), ps)
 		if err != nil {
 			return nil, nil, err
 		}
-		tr, err := New(st, prm)
+		tr, err := New(fd, prm)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -207,10 +186,10 @@ func testCrashMatrix(t *testing.T, policy pagestore.SyncPolicy, points int64, mm
 	{
 		cd := pagestore.NewCrashDisk()
 		m, w, cleanup := makeFiles("base")
-		if st, fd, err := createDisk(cd.File(m), cd.File(w)); err != nil {
+		if fd, err := pagestore.CreateFileDiskFiles(cd.File(m), cd.File(w), ps); err != nil {
 			t.Fatal(err)
 		} else {
-			tr, _ := New(st, prm)
+			tr, _ := New(fd, prm)
 			fd.WriteMeta(tr.MarshalMeta())
 			fd.Sync()
 		}
@@ -240,16 +219,19 @@ func testCrashMatrix(t *testing.T, policy pagestore.SyncPolicy, points int64, mm
 		}
 
 		// "Reboot": reopen the surviving bytes through recovery.
-		st, fd, err := openDisk(main, wal)
+		fd, err := pagestore.OpenFileDiskFiles(main, wal)
 		if err != nil {
 			t.Fatalf("point %d (+%d, %v): recovery open failed: %v", p, armAt, mode, err)
+		}
+		if mmap && pagestore.MmapSupported {
+			requireViewReads(t, fd)
 		}
 		meta := make([]byte, ps)
 		n, err := fd.ReadMeta(meta)
 		if err != nil {
 			t.Fatalf("point %d: reading meta: %v", p, err)
 		}
-		tr, err := Load(st, meta[:n])
+		tr, err := Load(fd, meta[:n])
 		if err != nil {
 			t.Fatalf("point %d (+%d, %v): loading tree: %v", p, armAt, mode, err)
 		}
@@ -292,4 +274,25 @@ func testCrashMatrix(t *testing.T, policy pagestore.SyncPolicy, points int64, mm
 	if wantLive == 0 || len(cleanAcked) != len(keys) {
 		t.Fatalf("clean pass acknowledged %d/%d keys (%d live); workload broken", len(cleanAcked), len(keys), wantLive)
 	}
+}
+
+// requireViewReads fails unless fd serves a committed page as a window
+// onto its read view rather than a copy into the caller's buffer.
+func requireViewReads(t *testing.T, fd *pagestore.FileDisk) {
+	t.Helper()
+	buf := make([]byte, fd.PageSize())
+	for id := pagestore.PageID(1); uint32(id) < fd.PageCount(); id++ {
+		if k, _ := fd.KindOf(id); k == pagestore.KindFree {
+			continue
+		}
+		page, err := fd.ReadSlice(id, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &page[0] == &buf[0] {
+			t.Fatalf("page %d was preaded, not read through the view", id)
+		}
+		return
+	}
+	t.Fatal("recovered store holds no allocated page")
 }

@@ -11,11 +11,11 @@ import (
 // come from an internal pool, so any number of concurrent readers may
 // share one IO (writers are serialized by the owning index).
 //
-// Over a store that serves zero-copy slices (pagestore.SliceReader — the
-// mmap backend), Read decodes straight out of the store's memory with no
-// pooled buffer and no page copy. That is safe because Decode fully
-// copies every record out of the raw bytes, and because the owning index
-// never commits (rewriting mapped slots) while a reader is decoding.
+// Over a store that serves zero-copy slices (pagestore.SliceReader — a
+// file store with a read view), Read decodes straight out of the store's
+// memory with no page copy. That is safe because Decode fully copies
+// every record out of the raw bytes, and because the owning index never
+// commits (rewriting mapped slots) while a reader is decoding.
 type IO struct {
 	st  pagestore.Store
 	sr  pagestore.SliceReader // non-nil: the zero-copy read path
@@ -35,23 +35,19 @@ func NewIO(st pagestore.Store, d int) *IO {
 
 // Read fetches and decodes the data page stored in page id (one disk read).
 func (io *IO) Read(id pagestore.PageID) (*Page, error) {
-	if io.sr != nil {
-		sl, err := io.sr.ReadSlice(id)
-		if err != nil {
-			return nil, fmt.Errorf("datapage: reading page %d: %w", id, err)
-		}
-		p, err := Decode(sl, io.d)
-		if err != nil {
-			return nil, fmt.Errorf("datapage: decoding page %d: %w", id, err)
-		}
-		return p, nil
-	}
 	bp := io.buf.Get().(*[]byte)
 	defer io.buf.Put(bp)
-	if err := io.st.Read(id, *bp); err != nil {
+	page := *bp
+	var err error
+	if io.sr != nil {
+		page, err = io.sr.ReadSlice(id, page)
+	} else {
+		err = io.st.Read(id, page)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("datapage: reading page %d: %w", id, err)
 	}
-	p, err := Decode(*bp, io.d)
+	p, err := Decode(page, io.d)
 	if err != nil {
 		return nil, fmt.Errorf("datapage: decoding page %d: %w", id, err)
 	}

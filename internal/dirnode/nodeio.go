@@ -11,10 +11,10 @@ import (
 // buffers come from an internal pool, so any number of concurrent readers
 // may share one IO (writers are serialized by the owning index).
 //
-// Over a store that serves zero-copy slices (pagestore.SliceReader — the
-// mmap backend), Read decodes straight out of the store's memory with no
-// pooled buffer and no page copy; Decode fully copies every entry out of
-// the raw bytes, so nothing retains the slice past the call.
+// Over a store that serves zero-copy slices (pagestore.SliceReader — a
+// file store with a read view), Read decodes straight out of the store's
+// memory with no page copy; Decode fully copies every entry out of the
+// raw bytes, so nothing retains the slice past the call.
 type IO struct {
 	st  pagestore.Store
 	sr  pagestore.SliceReader // non-nil: the zero-copy read path
@@ -34,23 +34,19 @@ func NewIO(st pagestore.Store, d int) *IO {
 
 // Read fetches and decodes the node stored in page id (one disk read).
 func (io *IO) Read(id pagestore.PageID) (*Node, error) {
-	if io.sr != nil {
-		sl, err := io.sr.ReadSlice(id)
-		if err != nil {
-			return nil, fmt.Errorf("dirnode: reading node page %d: %w", id, err)
-		}
-		n, err := Decode(sl, io.d)
-		if err != nil {
-			return nil, fmt.Errorf("dirnode: decoding node page %d: %w", id, err)
-		}
-		return n, nil
-	}
 	bp := io.buf.Get().(*[]byte)
 	defer io.buf.Put(bp)
-	if err := io.st.Read(id, *bp); err != nil {
+	page := *bp
+	var err error
+	if io.sr != nil {
+		page, err = io.sr.ReadSlice(id, page)
+	} else {
+		err = io.st.Read(id, page)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("dirnode: reading node page %d: %w", id, err)
 	}
-	n, err := Decode(*bp, io.d)
+	n, err := Decode(page, io.d)
 	if err != nil {
 		return nil, fmt.Errorf("dirnode: decoding node page %d: %w", id, err)
 	}

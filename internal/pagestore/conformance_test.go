@@ -8,11 +8,13 @@ import (
 	"testing"
 )
 
-// Backend-conformance suite: every Store implementation — MemDisk,
-// FileDisk, MmapDisk — must agree on the observable contract, so an index can switch backends
-// without changing behavior. The file-backed cases run over real files in
-// a temp dir; on platforms without mmap the "mmap" case still runs,
-// exercising the MmapDisk wrapper over its pread fallback.
+// Backend-conformance suite: every Store implementation must agree on the
+// observable contract, so an index behaves the same whatever holds its
+// pages. FileDisk runs twice over real files in a temp dir: "mmap" is the
+// default store, reading committed pages through its file's read view;
+// "file" is built over plain files that offer no view, so its every read
+// takes the pread path (as on a platform without mmap, or for pages past
+// the view).
 
 // fileBacked is the slice of the FileDisk surface the conformance suite
 // needs beyond Store.
@@ -33,16 +35,43 @@ type diskBackend struct {
 func diskBackends() []diskBackend {
 	return []diskBackend{
 		{
-			name:   "file",
+			name:   "mmap",
 			create: func(p string, ps int) (fileBacked, error) { return CreateFileDisk(p, ps) },
 			open:   func(p string) (fileBacked, error) { return OpenFileDisk(p) },
 		},
 		{
-			name:   "mmap",
-			create: func(p string, ps int) (fileBacked, error) { return CreateMmapDisk(p, ps) },
-			open:   func(p string) (fileBacked, error) { return OpenMmapDisk(p) },
+			name:   "file",
+			create: func(p string, ps int) (fileBacked, error) { return createUnmappedFileDisk(p, ps) },
+			open:   func(p string) (fileBacked, error) { return openUnmappedFileDisk(p) },
 		},
 	}
+}
+
+// createUnmappedFileDisk is CreateFileDisk over plain files with no read
+// view.
+func createUnmappedFileDisk(path string, pageSize int) (*FileDisk, error) {
+	main, err := openOSFile(path, true)
+	if err != nil {
+		return nil, err
+	}
+	wal, err := openOSFile(path+walSuffix, true)
+	if err != nil {
+		return nil, err
+	}
+	return CreateFileDiskFiles(main, wal, pageSize)
+}
+
+// openUnmappedFileDisk is OpenFileDisk over plain files with no read view.
+func openUnmappedFileDisk(path string) (*FileDisk, error) {
+	main, err := openExistingOSFile(path)
+	if err != nil {
+		return nil, err
+	}
+	wal, err := openOSFile(path+walSuffix, false)
+	if err != nil {
+		return nil, err
+	}
+	return OpenFileDiskFiles(main, wal)
 }
 
 // TestBackendContract runs the shared Store contract (alloc, write, read
@@ -71,20 +100,16 @@ func TestBackendShortBuffer(t *testing.T) {
 	const ps = 128
 	cases := map[string]func(t *testing.T) Store{
 		"mem": func(t *testing.T) Store { return NewMemDisk(ps) },
-		"file": func(t *testing.T) Store {
-			st, err := CreateFileDisk(filepath.Join(t.TempDir(), "disk"), ps)
+	}
+	for _, b := range diskBackends() {
+		b := b
+		cases[b.name] = func(t *testing.T) Store {
+			st, err := b.create(filepath.Join(t.TempDir(), "disk"), ps)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return st
-		},
-		"mmap": func(t *testing.T) Store {
-			st, err := CreateMmapDisk(filepath.Join(t.TempDir(), "disk"), ps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return st
-		},
+		}
 	}
 	for name, mk := range cases {
 		mk := mk
@@ -119,8 +144,7 @@ func TestBackendShortBuffer(t *testing.T) {
 }
 
 // TestBackendMetaRoundTrip checks the client meta record survives a sync,
-// a close, and a reopen — including a reopen through the *other* backend,
-// since the on-disk format is shared.
+// a close, and a reopen — with and without a read view either way round.
 func TestBackendMetaRoundTrip(t *testing.T) {
 	for _, b := range diskBackends() {
 		b := b
@@ -145,7 +169,7 @@ func TestBackendMetaRoundTrip(t *testing.T) {
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
-			// Reopen under every backend: the format is backend-neutral.
+			// Reopen with and without a view: reads never depend on it.
 			for _, rb := range diskBackends() {
 				re, err := rb.open(path)
 				if err != nil {
@@ -162,9 +186,9 @@ func TestBackendMetaRoundTrip(t *testing.T) {
 }
 
 // TestBackendTornTrailer damages one byte of a committed page's CRC-32C
-// trailer on disk and verifies both backends reject the page with
-// ErrCorrupt on first read — the mmap backend through its verify-once
-// zero-copy path as well as through the copying Read.
+// trailer on disk and verifies the store rejects the page with ErrCorrupt
+// on first read — through the verify-once zero-copy path and the copying
+// Read, with and without a read view.
 func TestBackendTornTrailer(t *testing.T) {
 	const ps = 128
 	for _, b := range diskBackends() {
@@ -217,10 +241,8 @@ func TestBackendTornTrailer(t *testing.T) {
 			if err := re.Read(id, buf); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("Read of torn-trailer page = %v, want ErrCorrupt", err)
 			}
-			if md, ok := re.(*MmapDisk); ok {
-				if _, err := md.ReadSlice(id); !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("ReadSlice of torn-trailer page = %v, want ErrCorrupt", err)
-				}
+			if _, err := re.(*FileDisk).ReadSlice(id, buf); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("ReadSlice of torn-trailer page = %v, want ErrCorrupt", err)
 			}
 		})
 	}
@@ -229,9 +251,9 @@ func TestBackendTornTrailer(t *testing.T) {
 // TestBackendConcurrentReadDuringCheckpoint hammers Read from several
 // goroutines while the main goroutine rewrites every page and commits in
 // a loop. Readers must only ever observe fully committed page images —
-// whole pages of a single version stamp, never a blend — on both
-// backends (on mmap this exercises readers against commit-time applies
-// into the mapping and the msync barrier).
+// whole pages of a single version stamp, never a blend — whether they
+// copy out of the read view (racing the commit's pwrites into the same
+// page cache) or pread outside the store lock.
 func TestBackendConcurrentReadDuringCheckpoint(t *testing.T) {
 	const (
 		ps       = 256

@@ -163,33 +163,26 @@ func (f *crashFile) Size() (int64, error) {
 
 func (f *crashFile) Close() error { return f.inner.Close() }
 
-// Slice forwards the zero-copy window of a mapped inner file, so the
-// crash harness can wrap the mmap backend. After the simulated power
-// loss the device is gone and slices are refused like every other
-// operation. Reads don't tick the crash countdown — only writes are
-// crash points — matching ReadAt.
-func (f *crashFile) Slice(off int64, n int) ([]byte, error) {
-	if err := f.c.dead(); err != nil {
-		return nil, err
-	}
-	v, ok := f.inner.(sliceView)
-	if !ok {
-		return nil, errors.New("pagestore: inner file does not support Slice")
+// Slice forwards the read view of a mapped inner file, so the crash
+// harness can wrap a real file and its store still reads through the
+// view. After the simulated power loss the device is gone: Slice declines,
+// and the store's pread fallback then fails like every other operation.
+// Reads don't tick the crash countdown — only writes are crash points.
+func (f *crashFile) Slice(off int64, n int) ([]byte, bool) {
+	v := viewOf(f.inner)
+	if v == nil || f.c.dead() != nil {
+		return nil, false
 	}
 	return v.Slice(off, n)
+}
+
+// Map forwards to the inner file's view.
+func (f *crashFile) Map(size int64) {
+	if v := viewOf(f.inner); v != nil {
+		v.Map(size)
+	}
 }
 
 // SliceCapable reports whether the wrapped file really serves zero-copy
 // slices, so capability detection (viewOf) sees through the wrapper.
 func (f *crashFile) SliceCapable() bool { return viewOf(f.inner) != nil }
-
-// Advise forwards madvise hints; a dead device refuses them.
-func (f *crashFile) Advise(p AccessPattern) error {
-	if err := f.c.dead(); err != nil {
-		return err
-	}
-	if a, ok := f.inner.(adviser); ok {
-		return a.Advise(p)
-	}
-	return nil
-}

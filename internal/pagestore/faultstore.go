@@ -134,20 +134,19 @@ func (f *FaultStore) Read(id PageID, buf []byte) error {
 // ReadSlice implements SliceReader, so fault injection covers the
 // zero-copy read path: the countdown ticks exactly as for Read, and the
 // slice comes from the inner store's own SliceReader when it has one (a
-// freshly read copy otherwise, keeping the wrapper usable over any
+// plain Read into buf otherwise, keeping the wrapper usable over any
 // Store). Slice-lifetime rules are the inner store's.
-func (f *FaultStore) ReadSlice(id PageID) ([]byte, error) {
+func (f *FaultStore) ReadSlice(id PageID, buf []byte) ([]byte, error) {
 	if fire, _ := f.tick(f.kindOf(id)); fire {
 		return nil, ErrInjected
 	}
 	if sr, ok := f.inner.(SliceReader); ok {
-		return sr.ReadSlice(id)
+		return sr.ReadSlice(id, buf)
 	}
-	buf := make([]byte, f.inner.PageSize())
 	if err := f.inner.Read(id, buf); err != nil {
 		return nil, err
 	}
-	return buf, nil
+	return buf[:f.inner.PageSize()], nil
 }
 
 // AccountRead implements ReadAccounter: a logical read consumes the

@@ -36,26 +36,20 @@ func (f osFile) Size() (int64, error) {
 }
 
 // openOSFile opens (or creates) path for read/write.
-func openOSFile(path string, truncate bool) (File, error) {
+func openOSFile(path string, truncate bool) (osFile, error) {
 	flags := os.O_RDWR | os.O_CREATE
 	if truncate {
 		flags |= os.O_TRUNC
 	}
 	f, err := os.OpenFile(path, flags, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return osFile{f}, nil
+	return osFile{f}, err
 }
 
 // openExistingOSFile opens without O_CREATE: a missing store file is an
 // error, not an empty store.
-func openExistingOSFile(path string) (File, error) {
+func openExistingOSFile(path string) (osFile, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, err
-	}
-	return osFile{f}, nil
+	return osFile{f}, err
 }
 
 // MemFile is an in-memory File. It is safe for concurrent use and retains

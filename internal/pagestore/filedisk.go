@@ -51,6 +51,13 @@ const walSuffix = ".wal"
 // tail and discards an incomplete one. Checksum damage anywhere surfaces
 // as an error wrapping ErrCorrupt, never a silent wrong answer.
 //
+// Reads: where the main file offers a read view (a MAP_SHARED mapping on
+// Linux; see OpenMappedFile), committed pages are served out of it —
+// zero-copy through ReadSlice, CRC-verified once per committed version.
+// Pages beyond the view, and every page of a store whose File offers none
+// (MemFile, the crash and fault harnesses, non-Linux builds), are read
+// through pread. Writes never touch the view: pwrite and fsync only.
+//
 // Safe for concurrent use. The free-list head lives under allocMu (taken
 // before mu), so an allocation that must read the next free slot from disk
 // performs that read without holding the main lock — two splitting writers
@@ -88,10 +95,10 @@ type FileDisk struct {
 	// the file is released (Close), both under mu. Read's pread runs
 	// outside mu and keeps its bytes only if homeGen stood still meanwhile.
 	homeGen atomic.Uint64
-	// view, when non-nil, is a zero-copy window onto the main file (the
-	// mmap backend attaches it; see MmapDisk). Page reads are then served
-	// straight out of the mapping instead of through ReadAt copies. Set
-	// once, before the store is shared, and never changed.
+	// view, when non-nil, is a read-only window onto the main file (see
+	// attachView). Committed pages inside it are read straight out of the
+	// mapping; writes never touch it. Set once, before the store is
+	// shared, and never changed.
 	view sliceView
 	// verified is a per-page bitmap (only maintained when view != nil):
 	// bit set = the page's slot has passed CRC verification since its
@@ -104,7 +111,7 @@ type FileDisk struct {
 // CreateFileDisk creates (truncating) a file-backed disk at path, together
 // with its write-ahead log at path+".wal".
 func CreateFileDisk(path string, pageSize int) (*FileDisk, error) {
-	f, err := openOSFile(path, true)
+	f, err := OpenMappedFile(path, true)
 	if err != nil {
 		return nil, err
 	}
@@ -151,6 +158,7 @@ func CreateFileDiskFiles(main, walFile File, pageSize int) (*FileDisk, error) {
 	if err := d.syncLocked(); err != nil {
 		return nil, err
 	}
+	d.attachView(main)
 	return d, nil
 }
 
@@ -158,10 +166,11 @@ func CreateFileDiskFiles(main, walFile File, pageSize int) (*FileDisk, error) {
 // against its write-ahead log and validating the meta page's checksum and
 // the free list. Damage is reported as an error wrapping ErrCorrupt.
 func OpenFileDisk(path string) (*FileDisk, error) {
-	f, err := openExistingOSFile(path)
+	of, err := openExistingOSFile(path)
 	if err != nil {
 		return nil, err
 	}
+	f := withView(of)
 	// The WAL is created if absent: a store that was closed cleanly by an
 	// older process may travel without one. If the open then fails — the
 	// path wasn't a pagestore at all, say — a WAL we created is removed
@@ -320,7 +329,21 @@ func OpenFileDiskFiles(main, walFile File) (*FileDisk, error) {
 		}
 		id = PageID(binary.BigEndian.Uint32(page[:4]))
 	}
+	d.attachView(main)
 	return d, nil
+}
+
+// attachView gives the store main's read view, if main offers one, and
+// maps every committed slot into it. Creation and open-time recovery and
+// validation have already run through pread, so the verified bitmap starts
+// empty and each slot is CRC-checked on its first read through the view.
+// Runs before the store is shared.
+func (d *FileDisk) attachView(main File) {
+	if v := viewOf(main); v != nil {
+		d.view = v
+		d.verified = make([]uint64, (int(d.pageCount)+63)/64)
+		v.Map(int64(d.pageCount) * d.slotSize())
+	}
 }
 
 func (d *FileDisk) slotSize() int64 { return int64(d.pageSize + pageTrailerSize) }
@@ -357,21 +380,19 @@ func verifySlot(buf []byte, pageSize int, id PageID, want Kind) error {
 }
 
 // readSlot reads and verifies one slot, returning the page image — a
-// window onto the mapping when the store has one (callers must not retain
-// it past their lock scope), a fresh buffer otherwise. It does not count
-// toward Stats (open-time and internal reads are free, like the paper's
-// pinned root). Safe without mu: the view field is immutable once the
-// store is shared and the verified bitmap is not consulted here.
+// window onto the mapping when the slot lies inside the view (callers
+// must not retain it past their lock scope), a fresh buffer otherwise. It
+// does not count toward Stats (open-time and internal reads are free, like
+// the paper's pinned root). Safe without mu: the view field is immutable
+// once the store is shared and the verified bitmap is not consulted here.
 func (d *FileDisk) readSlot(id PageID, want Kind) ([]byte, error) {
 	if v := d.view; v != nil {
-		sl, err := v.Slice(int64(id)*d.slotSize(), int(d.slotSize()))
-		if err != nil {
-			return nil, fmt.Errorf("pagestore: page %d unreadable: %w (%w)", id, err, ErrCorrupt)
+		if sl, ok := v.Slice(int64(id)*d.slotSize(), int(d.slotSize())); ok {
+			if err := verifySlot(sl, d.pageSize, id, want); err != nil {
+				return nil, err
+			}
+			return sl[:d.pageSize:d.pageSize], nil
 		}
-		if err := verifySlot(sl, d.pageSize, id, want); err != nil {
-			return nil, err
-		}
-		return sl[:d.pageSize:d.pageSize], nil
 	}
 	buf := make([]byte, d.slotSize())
 	if err := d.preadSlot(buf, id, want); err != nil {
@@ -410,19 +431,19 @@ func (d *FileDisk) clearVerified(id PageID) {
 	}
 }
 
-// slotViewLocked is the hot-path variant of readSlot: with a mapping
-// attached it skips CRC re-verification of slots whose bytes have not
-// changed since they last passed (the bitmap is invalidated per slot at
-// commit). Caller holds mu; the returned slice must not be retained past
-// the mu scope unless the caller copies it.
-func (d *FileDisk) slotViewLocked(id PageID) ([]byte, error) {
-	v := d.view
-	if v == nil {
-		return d.readSlot(id, d.kinds[id])
+// mappedLocked is the hot-path variant of readSlot: it returns the slot's
+// page as a window onto the view, skipping CRC re-verification of slots
+// whose bytes have not changed since they last passed (the bitmap is
+// invalidated per slot at commit). It returns nil, nil when the slot lies
+// outside the view or there is none; the caller then preads. Caller holds
+// mu; the window must not be retained past the caller's read-lock scope.
+func (d *FileDisk) mappedLocked(id PageID) ([]byte, error) {
+	if d.view == nil {
+		return nil, nil
 	}
-	sl, err := v.Slice(int64(id)*d.slotSize(), int(d.slotSize()))
-	if err != nil {
-		return nil, fmt.Errorf("pagestore: page %d unreadable: %w (%w)", id, err, ErrCorrupt)
+	sl, ok := d.view.Slice(int64(id)*d.slotSize(), int(d.slotSize()))
+	if !ok {
+		return nil, nil
 	}
 	if !d.isVerified(id) {
 		if err := verifySlot(sl, d.pageSize, id, d.kinds[id]); err != nil {
@@ -461,13 +482,16 @@ func (d *FileDisk) PageCount() uint32 {
 }
 
 // stagedOrDisk returns the current image of an allocated page. Caller
-// holds mu; on a mapped store the result may be a window onto the mapping
-// (verify-once), so it must not be retained past the mu scope.
+// holds mu; the result may be a window onto the mapping (verify-once), so
+// it must not be retained past the mu scope.
 func (d *FileDisk) stagedOrDisk(id PageID) ([]byte, error) {
 	if p, ok := d.dirty[id]; ok {
 		return p, nil
 	}
-	return d.slotViewLocked(id)
+	if p, err := d.mappedLocked(id); p != nil || err != nil {
+		return p, err
+	}
+	return d.readSlot(id, d.kinds[id])
 }
 
 // Alloc implements Store. allocMu pins the free-list head for the whole
@@ -549,20 +573,37 @@ func (d *FileDisk) Free(id PageID) error {
 }
 
 // Read implements Store. A checksum mismatch on the on-disk page returns
-// an error wrapping ErrCorrupt and leaves buf untouched. A committed page
-// read through pread allocates nothing and holds mu only around its
+// an error wrapping ErrCorrupt and leaves buf untouched. A page inside the
+// read view is copied out of the mapping under mu, so a concurrent commit
+// can never hand Read a torn image. Any other committed page is read
+// through pread, which allocates nothing and holds mu only around its
 // bookkeeping: the slot lands in a pooled buffer outside the lock, is
 // verified there, and only then copied out, so concurrent readers never
 // wait on one another's syscalls.
 func (d *FileDisk) Read(id PageID, buf []byte) error {
+	_, err := d.read(id, buf, true)
+	return err
+}
+
+// ReadSlice implements SliceReader. Staged (written-but-uncommitted) pages
+// are served from the staging buffer — those buffers are replaced, never
+// mutated, so they are stable too. Committed pages inside the read view
+// come straight from the mapping, CRC-verified once per committed version;
+// any other page is read into buf exactly as Read does.
+func (d *FileDisk) ReadSlice(id PageID, buf []byte) ([]byte, error) {
+	return d.read(id, buf, false)
+}
+
+// read serves Read (copyOut) and ReadSlice.
+func (d *FileDisk) read(id PageID, buf []byte, copyOut bool) ([]byte, error) {
 	d.mu.Lock()
-	onDisk, err := d.readLocked(id, buf)
+	page, err := d.inMemoryLocked(id, buf, copyOut)
 	if err == nil {
 		d.stats.Reads++
 	}
-	if err != nil || !onDisk {
+	if err != nil || page != nil {
 		d.mu.Unlock()
-		return err
+		return page, err
 	}
 	kind, gen := d.kinds[id], d.homeGen.Load()
 	d.mu.Unlock()
@@ -575,42 +616,42 @@ func (d *FileDisk) Read(id PageID, buf []byte) error {
 		// which both of those hold.
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		if onDisk, err = d.readLocked(id, buf); err != nil || !onDisk {
-			return err
+		if page, err = d.inMemoryLocked(id, buf, copyOut); err != nil || page != nil {
+			return page, err
 		}
 		err = d.preadSlot(*slot, id, d.kinds[id])
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	copy(buf[:d.pageSize], *slot)
-	return nil
+	return buf[:copy(buf[:d.pageSize], *slot)], nil
 }
 
-// readLocked checks a Read. A page held in memory (staged, or in the
-// mapping) is copied into buf at once; onDisk reports that it must be read
-// from its home slot instead. Caller holds mu.
-func (d *FileDisk) readLocked(id PageID, buf []byte) (onDisk bool, err error) {
+// inMemoryLocked checks a read and serves it when the page is held in
+// memory — staged, or inside the read view — returning the image itself,
+// or buf holding a copy of it with copyOut. It returns nil, nil when the
+// page must be read from its home slot instead. Caller holds mu.
+func (d *FileDisk) inMemoryLocked(id PageID, buf []byte, copyOut bool) ([]byte, error) {
 	if d.closed {
-		return false, ErrClosed
+		return nil, ErrClosed
 	}
 	if err := d.checkLocked(id); err != nil {
-		return false, err
+		return nil, err
 	}
 	if len(buf) < d.pageSize {
-		return false, fmt.Errorf("pagestore: read buffer %d bytes < page size %d: %w", len(buf), d.pageSize, ErrShortBuffer)
+		return nil, fmt.Errorf("pagestore: read buffer %d bytes < page size %d: %w", len(buf), d.pageSize, ErrShortBuffer)
 	}
 	page, staged := d.dirty[id]
 	if !staged {
-		if d.view == nil {
-			return true, nil
-		}
-		if page, err = d.slotViewLocked(id); err != nil {
-			return false, err
+		var err error
+		if page, err = d.mappedLocked(id); page == nil || err != nil {
+			return nil, err
 		}
 	}
-	copy(buf[:d.pageSize], page)
-	return false, nil
+	if copyOut {
+		return buf[:copy(buf[:d.pageSize], page)], nil
+	}
+	return page[:d.pageSize:d.pageSize], nil
 }
 
 // slotBuf returns a slot-sized buffer from d.slots; Put it back after use.
@@ -810,6 +851,12 @@ func (d *FileDisk) commitLocked(seq uint64) error {
 			// read must re-verify it against the fresh trailer.
 			d.clearVerified(fr.ID)
 		}
+	}
+	if d.view != nil {
+		// Every slot below pageCount now exists in the file (each page
+		// allocated since the last commit was staged, so this batch wrote
+		// it): the view may cover them all.
+		d.view.Map(int64(d.pageCount) * d.slotSize())
 	}
 	if err := d.f.Sync(); err != nil {
 		return err

@@ -85,11 +85,11 @@ func TestFileDiskDetectsAnyFlippedByte(t *testing.T) {
 	}
 }
 
-// TestFileDiskReadAllocatesNothing pins the byte path under every
-// decoded-cache miss: reading a committed, unstaged page through pread
-// allocates nothing.
+// TestFileDiskReadAllocatesNothing pins the pread path under every
+// decoded-cache miss on a store without a read view: reading a committed,
+// unstaged page allocates nothing, through Read or ReadSlice.
 func TestFileDiskReadAllocatesNothing(t *testing.T) {
-	d, err := CreateFileDisk(filepath.Join(t.TempDir(), "disk"), 128)
+	d, err := createUnmappedFileDisk(filepath.Join(t.TempDir(), "disk"), 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +116,18 @@ func TestFileDiskReadAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Read of a committed page allocates %v times, want 0", allocs)
 	}
+	var page []byte
+	allocs = testing.AllocsPerRun(100, func() {
+		if page, err = d.ReadSlice(id, buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if &page[0] != &buf[0] {
+		t.Fatal("a store without a view served ReadSlice from elsewhere than buf")
+	}
+	if allocs != 0 {
+		t.Fatalf("pread ReadSlice of a committed page allocates %v times, want 0", allocs)
+	}
 }
 
 // halvesFile writes every WriteAt in two halves with a pause between
@@ -135,10 +147,11 @@ func (f halvesFile) WriteAt(p []byte, off int64) (int, error) {
 }
 
 // TestFileDiskReadDuringCommits reads one page from several goroutines
-// while a writer keeps rewriting and committing it. Read's pread runs
-// outside the store lock, so some reads overlap a commit's home-slot
-// write, which halvesFile makes visibly torn; each read must still return
-// a whole committed image, never an error.
+// while a writer keeps rewriting and committing it. halvesFile offers no
+// read view, so every Read takes the pread path, which runs outside the
+// store lock: some reads overlap a commit's home-slot write, which
+// halvesFile makes visibly torn; each read must still return a whole
+// committed image, never an error.
 func TestFileDiskReadDuringCommits(t *testing.T) {
 	const pageSize, commits, readers = 512, 300, 3
 	d, err := CreateFileDiskFiles(halvesFile{NewMemFile()}, NewMemFile(), pageSize)

@@ -2,18 +2,9 @@
 
 package pagestore
 
-// MmapSupported reports whether this platform maps the page file into
-// memory. On non-Linux builds MmapDisk degrades to the pread path:
-// everything works, ReadSlice just returns freshly allocated copies.
+// MmapSupported reports whether this platform maps store files for reads.
+// On non-Linux builds every page read takes the pread path.
 const MmapSupported = false
 
-// openMappedFile is the per-platform main-file opener used by the mmap
-// backend; without a mapping it is a plain pread file.
-func openMappedFile(path string, truncate bool) (File, error) {
-	return openOSFile(path, truncate)
-}
-
-// openExistingMappedFile is openMappedFile without O_CREATE.
-func openExistingMappedFile(path string) (File, error) {
-	return openExistingOSFile(path)
-}
+// withView returns f unchanged: there is no read view on this platform.
+func withView(f osFile) File { return f }

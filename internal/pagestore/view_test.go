@@ -9,21 +9,21 @@ import (
 )
 
 // requireMapping skips tests that assert true zero-copy behavior on
-// platforms where OpenMappedFile degrades to a pread file. The rest of
-// the suite (conformance, crash matrix) still runs there through the
-// copying fallback.
-func requireMapping(t *testing.T, d *MmapDisk) {
+// platforms where the main file offers no read view. The rest of the
+// suite (conformance, crash matrix) still runs there through pread.
+func requireMapping(t *testing.T, d *FileDisk) {
 	t.Helper()
-	if !d.ZeroCopy() {
-		t.Skip("no mmap on this platform; copying fallback covered by conformance suite")
+	if d.view == nil {
+		t.Skip("no mmap on this platform; the pread path is covered by the conformance suite")
 	}
 }
 
 // TestMmapZeroCopyAliasing proves ReadSlice really is zero-copy: two
 // reads of the same committed page return slices over the same backing
-// memory, stats count them as zero-copy, and no staged copy is involved.
+// memory — the mapping, not the caller's buffer — and each counts one
+// read; before the commit the staged image is served instead.
 func TestMmapZeroCopyAliasing(t *testing.T) {
-	d, err := CreateMmapDisk(filepath.Join(t.TempDir(), "disk"), 128)
+	d, err := CreateFileDisk(filepath.Join(t.TempDir(), "disk"), 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,14 +36,15 @@ func TestMmapZeroCopyAliasing(t *testing.T) {
 	if err := d.Write(id, []byte("alias-me")); err != nil {
 		t.Fatal(err)
 	}
+	buf := make([]byte, 128)
 	// Before the commit the page is staged: ReadSlice serves the staging
-	// buffer and counts it as such.
-	s0, err := d.ReadSlice(id)
+	// buffer.
+	s0, err := d.ReadSlice(id, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d.MmapStats(); got.StagedReads != 1 || got.ZeroCopyReads != 0 {
-		t.Fatalf("staged read stats %+v", got)
+	if &s0[0] == &buf[0] || &s0[0] != &d.dirty[id][0] {
+		t.Fatal("staged read did not serve the staging buffer")
 	}
 	if !bytes.Equal(s0[:8], []byte("alias-me")) {
 		t.Fatalf("staged slice %q", s0[:8])
@@ -51,16 +52,20 @@ func TestMmapZeroCopyAliasing(t *testing.T) {
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	a, err := d.ReadSlice(id)
+	d.ResetStats()
+	a, err := d.ReadSlice(id, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := d.ReadSlice(id)
+	b, err := d.ReadSlice(id, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &a[0] != &b[0] {
 		t.Fatal("two ReadSlice calls returned different backing memory; a copy happened")
+	}
+	if &a[0] == &buf[0] {
+		t.Fatal("committed page was read into the caller's buffer, not served from the mapping")
 	}
 	if len(a) != 128 || cap(a) != 128 {
 		t.Fatalf("slice len/cap = %d/%d, want page-size-capped", len(a), cap(a))
@@ -68,9 +73,43 @@ func TestMmapZeroCopyAliasing(t *testing.T) {
 	if !bytes.Equal(a[:8], []byte("alias-me")) {
 		t.Fatalf("mapped slice %q", a[:8])
 	}
-	st := d.MmapStats()
-	if st.ZeroCopyReads != 2 || st.CopiedReads != 0 {
-		t.Fatalf("stats %+v, want 2 zero-copy and 0 copied", st)
+	if got := d.Stats().Reads; got != 2 {
+		t.Fatalf("two zero-copy reads counted as %d", got)
+	}
+}
+
+// TestFileDiskReadSliceAllocatesNothing pins the mapped read path under
+// every decoded-cache miss: ReadSlice of a committed page allocates
+// nothing.
+func TestFileDiskReadSliceAllocatesNothing(t *testing.T) {
+	d, err := CreateFileDisk(filepath.Join(t.TempDir(), "disk"), 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	requireMapping(t, d)
+	id, err := d.Alloc(KindData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Write(id, []byte{0x5A}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 128)
+	var page []byte
+	allocs := testing.AllocsPerRun(100, func() {
+		if page, err = d.ReadSlice(id, buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if page[0] != 0x5A || &page[0] == &buf[0] {
+		t.Fatalf("ReadSlice served %#x, mapped=%v", page[0], &page[0] != &buf[0])
+	}
+	if allocs != 0 {
+		t.Fatalf("ReadSlice of a committed page allocates %v times, want 0", allocs)
 	}
 }
 
@@ -80,7 +119,7 @@ func TestMmapZeroCopyAliasing(t *testing.T) {
 // contiguous-reservation design never remaps established chunks.
 func TestMmapGrowthKeepsSlicesValid(t *testing.T) {
 	const ps = 4096
-	d, err := CreateMmapDisk(filepath.Join(t.TempDir(), "disk"), ps)
+	d, err := CreateFileDisk(filepath.Join(t.TempDir(), "disk"), ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +135,8 @@ func TestMmapGrowthKeepsSlicesValid(t *testing.T) {
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	early, err := d.ReadSlice(first)
+	buf := make([]byte, ps)
+	early, err := d.ReadSlice(first, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +167,7 @@ func TestMmapGrowthKeepsSlicesValid(t *testing.T) {
 	if int64(last)*int64(ps+pageTrailerSize) < mmapChunkBytes {
 		t.Fatalf("test did not cross a chunk boundary (last id %d)", last)
 	}
-	again, err := d.ReadSlice(first)
+	again, err := d.ReadSlice(first, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +178,12 @@ func TestMmapGrowthKeepsSlicesValid(t *testing.T) {
 		t.Fatalf("pre-growth page now reads %q", again[:10])
 	}
 	// Pages beyond the first chunk serve zero-copy too.
-	far, err := d.ReadSlice(last)
+	far, err := d.ReadSlice(last, buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if &far[0] == &buf[0] {
+		t.Fatal("page beyond the first chunk was not served from the mapping")
 	}
 	if !bytes.Equal(far, payload) {
 		t.Fatal("page beyond first chunk corrupt")
@@ -152,7 +195,7 @@ func TestMmapGrowthKeepsSlicesValid(t *testing.T) {
 // and a commit that rewrites the page re-arms verification.
 func TestMmapVerifyOnce(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "disk")
-	d, err := CreateMmapDisk(path, 128)
+	d, err := CreateFileDisk(path, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +211,8 @@ func TestMmapVerifyOnce(t *testing.T) {
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ReadSlice(id); err != nil {
+	buf := make([]byte, 128)
+	if _, err := d.ReadSlice(id, buf); err != nil {
 		t.Fatal(err) // first read verifies and caches the verdict
 	}
 	corrupt := func() {
@@ -190,7 +234,7 @@ func TestMmapVerifyOnce(t *testing.T) {
 	// Damage the trailer behind the store's back: the verified bit is
 	// set, so repeat reads skip the CRC and still succeed.
 	corrupt()
-	if _, err := d.ReadSlice(id); err != nil {
+	if _, err := d.ReadSlice(id, buf); err != nil {
 		t.Fatalf("verified page re-checked: %v", err)
 	}
 	// A commit rewriting the page clears its bit (and recomputes a good
@@ -202,17 +246,17 @@ func TestMmapVerifyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	corrupt()
-	if _, err := d.ReadSlice(id); !errors.Is(err, ErrCorrupt) {
+	if _, err := d.ReadSlice(id, buf); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("post-commit read = %v, want ErrCorrupt", err)
 	}
 }
 
-// TestMmapReopen closes and reopens a mapped store and checks contents
-// and zero-copy service survive, including pages written just before
-// close.
+// TestMmapReopen closes and reopens a store and checks contents survive
+// and the reopened store serves them through its view, including pages
+// written just before close.
 func TestMmapReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "disk")
-	d, err := CreateMmapDisk(path, 128)
+	d, err := CreateFileDisk(path, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,92 +277,31 @@ func TestMmapReopen(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenMmapDisk(path)
+	re, err := OpenFileDisk(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
+	buf := make([]byte, 128)
 	for i, id := range ids {
-		sl, err := re.ReadSlice(id)
+		sl, err := re.ReadSlice(id, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sl[0] != byte(i+1) {
 			t.Fatalf("page %d reads %d after reopen", id, sl[0])
 		}
-	}
-	if MmapSupported && !re.ZeroCopy() {
-		t.Fatal("reopened store lost its mapping")
-	}
-}
-
-// TestMmapFileParity runs one deterministic workload through both
-// backends and requires byte-for-byte identical main files: the mmap
-// write path (stage → WAL → apply → msync) must leave exactly the bytes
-// the pread path leaves.
-func TestMmapFileParity(t *testing.T) {
-	dir := t.TempDir()
-	workload := func(st fileBacked) error {
-		var ids []PageID
-		for i := 0; i < 40; i++ {
-			id, err := st.Alloc(KindData)
-			if err != nil {
-				return err
-			}
-			ids = append(ids, id)
-			if err := st.Write(id, bytes.Repeat([]byte{byte(i + 1)}, 64)); err != nil {
-				return err
-			}
-			if i%7 == 6 {
-				if err := st.Free(ids[i-3]); err != nil {
-					return err
-				}
-			}
-			if i%5 == 4 {
-				if err := st.WriteMeta([]byte{byte(i)}); err != nil {
-					return err
-				}
-				if err := st.Sync(); err != nil {
-					return err
-				}
-			}
+		if MmapSupported && &sl[0] == &buf[0] {
+			t.Fatalf("page %d was preaded after reopen; the store lost its view", id)
 		}
-		return st.Close()
-	}
-	fdPath := filepath.Join(dir, "file-backend")
-	fd, err := CreateFileDisk(fdPath, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := workload(fd); err != nil {
-		t.Fatal(err)
-	}
-	mdPath := filepath.Join(dir, "mmap-backend")
-	md, err := CreateMmapDisk(mdPath, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := workload(md); err != nil {
-		t.Fatal(err)
-	}
-	a, err := os.ReadFile(fdPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(mdPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("backends diverged on disk: %d vs %d bytes", len(a), len(b))
 	}
 }
 
 // TestMmapFaultStore checks the fault injector composes with the mapped
-// backend: ReadSlice faults fire on schedule and untargeted traffic
-// flows, so read-path fault coverage carries over to the new backend.
+// read path: ReadSlice faults fire on schedule and untargeted traffic
+// flows, so read-path fault coverage carries over to it.
 func TestMmapFaultStore(t *testing.T) {
-	d, err := CreateMmapDisk(filepath.Join(t.TempDir(), "disk"), 128)
+	d, err := CreateFileDisk(filepath.Join(t.TempDir(), "disk"), 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +317,8 @@ func TestMmapFaultStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := NewFaultStore(d, -1)
-	sl, err := fs.ReadSlice(id)
+	buf := make([]byte, 128)
+	sl, err := fs.ReadSlice(id, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,38 +326,44 @@ func TestMmapFaultStore(t *testing.T) {
 		t.Fatalf("through-fault slice %q", sl[:8])
 	}
 	fs.Arm(1) // next-but-one read faults
-	if _, err := fs.ReadSlice(id); err != nil {
+	if _, err := fs.ReadSlice(id, buf); err != nil {
 		t.Fatalf("read before countdown: %v", err)
 	}
-	if _, err := fs.ReadSlice(id); !errors.Is(err, ErrInjected) {
+	if _, err := fs.ReadSlice(id, buf); !errors.Is(err, ErrInjected) {
 		t.Fatalf("armed ReadSlice = %v, want ErrInjected", err)
 	}
 	fs.Disarm()
-	if _, err := fs.ReadSlice(id); err != nil {
+	if _, err := fs.ReadSlice(id, buf); err != nil {
 		t.Fatalf("read after disarm: %v", err)
 	}
 }
 
 // TestMmapCrashDiskWiring checks capability detection sees through the
-// crash harness: a CrashDisk-wrapped mapped file still yields a zero-copy
-// store, and a crash mid-commit leaves bytes the recovery path accepts.
-// (The full sweep is TestCrashMatrixMmap in internal/core.)
+// crash harness: a CrashDisk-wrapped real file still yields a store with a
+// read view, and a crash mid-commit leaves bytes the recovery path accepts
+// and the reopened store reads through its view. (The full sweep is
+// TestCrashMatrixMmap in internal/core.)
 func TestMmapCrashDiskWiring(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "disk")
 	mf, err := OpenMappedFile(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer mf.Close()
 	cd := NewCrashDisk()
 	wal := NewMemFile()
-	d, err := CreateMmapDiskFiles(cd.File(mf), cd.File(wal), 128)
+	d, err := CreateFileDiskFiles(cd.File(mf), cd.File(wal), 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if MmapSupported && !d.ZeroCopy() {
-		t.Fatal("crash wrapper hid the mapping from capability detection")
+	if MmapSupported && d.view == nil {
+		t.Fatal("crash wrapper hid the view from capability detection")
 	}
 	id, err := d.Alloc(KindData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := d.Alloc(KindData)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,20 +384,111 @@ func TestMmapCrashDiskWiring(t *testing.T) {
 	if !cd.Crashed() {
 		t.Fatal("crash never fired")
 	}
+	// The dead device refuses committed reads through the view as well as
+	// through pread.
+	if _, err := d.ReadSlice(other, make([]byte, 128)); err == nil {
+		t.Fatal("crashed device served a committed page")
+	}
 	// "Reboot": reopen the surviving files, unwrapped, through recovery —
 	// the crashed store is simply abandoned, as a dead process abandons
 	// its descriptors. The WAL survives the crash exactly like the main
 	// file; recovery replays or discards its last record.
-	re, err := OpenMmapDiskFiles(mf, wal)
+	re, err := OpenFileDiskFiles(mf, wal)
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
 	defer re.Close()
-	sl, err := re.ReadSlice(id)
+	buf := make([]byte, 128)
+	sl, err := re.ReadSlice(id, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if MmapSupported && &sl[0] == &buf[0] {
+		t.Fatal("recovered store read through pread, not its view")
+	}
 	if got := string(sl[:8]); got != "survives" && got != "doomed\x00\x00" {
 		t.Fatalf("recovered page %q is neither pre- nor post-crash state", got)
+	}
+}
+
+// TestFileDiskOutgrowsMapping grows a store far past a lowered read-view
+// reservation. Writes never touch the mapping, so nothing fails: pages
+// inside the reservation are read through the view, pages past it through
+// pread, before and after a reopen, and the reopened file passes the
+// page-level fsck (open-time validation of meta, kinds and free list, plus
+// CheckPages over every slot).
+func TestFileDiskOutgrowsMapping(t *testing.T) {
+	const ps = 1024
+	old := mmapReserveBytes
+	mmapReserveBytes = 256 << 10
+	defer func() { mmapReserveBytes = old }()
+
+	path := filepath.Join(t.TempDir(), "disk")
+	d, err := CreateFileDisk(path, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := func(i int) []byte { return bytes.Repeat([]byte{byte(i), byte(i >> 8)}, ps/2) }
+	const pages = 1000 // ~1 MiB of slots: four times the reservation
+	ids := make([]PageID, pages)
+	for i := range ids {
+		if ids[i], err = d.Alloc(KindData); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Write(ids[i], image(i)); err != nil {
+			t.Fatal(err)
+		}
+		if i%100 == 99 {
+			if err := d.Sync(); err != nil {
+				t.Fatalf("commit reaching %d KiB: %v", int64(ids[i]+1)*(ps+pageTrailerSize)>>10, err)
+			}
+		}
+	}
+	// Free and reallocate a page past the reservation, so the free list
+	// runs through it too.
+	if err := d.Free(ids[pages-1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	readAll := func(st *FileDisk) {
+		t.Helper()
+		buf := make([]byte, ps)
+		mapped := 0
+		for i, id := range ids[:pages-1] {
+			page, err := st.ReadSlice(id, buf)
+			if err != nil {
+				t.Fatalf("page %d: %v", id, err)
+			}
+			if !bytes.Equal(page, image(i)) {
+				t.Fatalf("page %d holds the wrong image", id)
+			}
+			if &page[0] != &buf[0] {
+				mapped++
+			}
+			if err := st.Read(id, buf); err != nil || !bytes.Equal(buf, image(i)) {
+				t.Fatalf("Read of page %d: %v", id, err)
+			}
+		}
+		if MmapSupported && (mapped == 0 || mapped == pages-1) {
+			t.Fatalf("%d of %d pages read through the view; want some, not all", mapped, pages-1)
+		}
+	}
+	readAll(d)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenFileDisk(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if n, free, problems := re.CheckPages(); len(problems) != 0 || n != pages+1 || free != 1 {
+		t.Fatalf("fsck: %d slots, %d free, problems %v", n, free, problems)
+	}
+	readAll(re)
+	if id, err := re.Alloc(KindData); err != nil || id != ids[pages-1] {
+		t.Fatalf("realloc past the reservation = %d, %v; want %d", id, err, ids[pages-1])
 	}
 }

@@ -25,10 +25,9 @@ type Config struct {
 	IndexPath    string // file-backed store; "" means in-memory
 	Create       bool   // create IndexPath if absent
 	Mem          bool
-	Dims         int    // new indexes only
-	Capacity     int    // new indexes only
-	Cache        int    // ignored: the byte-level page pool it sized is retired
-	Backend      string // storage engine: "file" (pread) or "mmap"
+	Dims         int // new indexes only
+	Capacity     int // new indexes only
+	Cache        int // ignored: the byte-level page pool it sized is retired
 	SyncInterval time.Duration
 	SyncBatch    int
 	CoalesceMax  int
@@ -48,34 +47,15 @@ type Config struct {
 // connection, turning every drain into an abort.
 const defaultDrainTimeout = 30 * time.Second
 
-// ParseBackend maps the -backend flag to a storage engine.
-func ParseBackend(s string) (bmeh.Backend, error) {
-	switch s {
-	case "", "file":
-		return bmeh.BackendFile, nil
-	case "mmap":
-		return bmeh.BackendMmap, nil
-	default:
-		return 0, fmt.Errorf("unknown backend %q (want file or mmap)", s)
-	}
-}
-
 // Run opens/creates the index, serves cfg.Addr until a value arrives on
 // sig, then drains and closes. ready (optional) is called with the bound
 // address once the listener is up — tests and the cluster launcher use
 // it to learn the port and to coordinate shutdown.
 func Run(cfg Config, sig <-chan os.Signal, ready func(net.Addr), logw io.Writer) error {
-	backend, err := ParseBackend(cfg.Backend)
-	if err != nil {
-		return err
-	}
 	if cfg.ReplicaOf != "" {
 		// A replica's store is opened by bmeh.NewReplicaTarget, which has
-		// one engine and one write mode; serving it anyway would hand the
-		// operator something other than what was asked for.
-		if backend != bmeh.BackendFile {
-			return fmt.Errorf("-replica-of does not support -backend %s", backend)
-		}
+		// one write mode; serving it anyway would hand the operator
+		// something other than what was asked for.
 		if cfg.COW {
 			return errors.New("-replica-of does not support -cow")
 		}
@@ -86,12 +66,14 @@ func Run(cfg Config, sig <-chan os.Signal, ready func(net.Addr), logw io.Writer)
 		PageCapacity:      cfg.Capacity,
 		SyncPolicy:        bmeh.SyncPolicy{Interval: cfg.SyncInterval, MaxBatch: cfg.SyncBatch},
 		SnapshotMaxPinAge: cfg.SnapMaxPinAge,
-		Backend:           backend,
 	}
 	if cfg.COW {
 		opts.WriteMode = bmeh.WriteModeCOW
 	}
-	var ix *bmeh.Index
+	var (
+		ix  *bmeh.Index
+		err error
+	)
 	switch {
 	case cfg.Mem:
 		ix, err = bmeh.New(opts)

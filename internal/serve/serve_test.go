@@ -165,10 +165,8 @@ func TestPrimaryLifecycle(t *testing.T) {
 // is opened or bound, instead of serving something else.
 func TestRefusedConfigs(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"unknown backend":         {Create: true, Dims: 2, Backend: "zfs"},
-		"replica unknown backend": {ReplicaOf: "127.0.0.1:1", Backend: "zfs"},
-		"replica mmap":            {ReplicaOf: "127.0.0.1:1", Backend: "mmap"},
-		"replica cow":             {ReplicaOf: "127.0.0.1:1", COW: true},
+		"replica cow": {ReplicaOf: "127.0.0.1:1", COW: true},
+		"replica mem": {ReplicaOf: "127.0.0.1:1", Mem: true},
 	} {
 		cfg.Addr = "127.0.0.1:0"
 		cfg.IndexPath = filepath.Join(t.TempDir(), "ix.bmeh")
@@ -199,7 +197,7 @@ func TestReplicaSignalBeforeSnapshot(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- Run(Config{
-			Addr: "127.0.0.1:0", IndexPath: filepath.Join(t.TempDir(), "r.bmeh"), ReplicaOf: dead, Backend: "file",
+			Addr: "127.0.0.1:0", IndexPath: filepath.Join(t.TempDir(), "r.bmeh"), ReplicaOf: dead,
 		}, sig, func(a net.Addr) { t.Errorf("replica listening on %v before any snapshot", a) }, log)
 	}()
 	sig <- syscall.SIGINT

@@ -345,18 +345,47 @@ func TestSnapshotModeErrors(t *testing.T) {
 // TestSnapshotMaxPinAge: an abandoned pin older than SnapshotMaxPinAge is
 // force-released by the next reclamation pass — its pages recycle, its
 // reads fail with ErrSnapshotReleased, its Close stays a safe no-op —
-// while a younger snapshot keeps working untouched.
+// while a younger snapshot keeps working untouched. The bound must hold
+// however the index was obtained, a reopened file included.
 func TestSnapshotMaxPinAge(t *testing.T) {
 	const maxAge = 30 * time.Millisecond
-	ix, err := New(Options{
+	opts := Options{
 		Dims: 2, PageCapacity: 8,
 		WriteMode:         WriteModeCOW,
 		SnapshotMaxPinAge: maxAge,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	defer ix.Close()
+	for name, open := range map[string]func(t *testing.T) (*Index, error){
+		"new": func(t *testing.T) (*Index, error) { return New(opts) },
+		"create": func(t *testing.T) (*Index, error) {
+			return Create(filepath.Join(t.TempDir(), "ix.bmeh"), opts)
+		},
+		"reopen": func(t *testing.T) (*Index, error) {
+			path := filepath.Join(t.TempDir(), "ix.bmeh")
+			ix, err := Create(path, opts)
+			if err != nil {
+				return nil, err
+			}
+			if err := ix.Close(); err != nil {
+				return nil, err
+			}
+			return OpenWithOptions(path, opts)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ix, err := open(t)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.Close()
+			if got := ix.Options().SnapshotMaxPinAge; got != maxAge {
+				t.Fatalf("Options().SnapshotMaxPinAge = %v, want %v", got, maxAge)
+			}
+			testSnapshotMaxPinAge(t, ix, maxAge)
+		})
+	}
+}
+
+func testSnapshotMaxPinAge(t *testing.T, ix *Index, maxAge time.Duration) {
 	keys := randKeys(600, 2, 97)
 	for i, k := range keys[:300] {
 		if err := ix.Insert(k, uint64(i)); err != nil {
