@@ -5,7 +5,7 @@ package bmeh
 // hits the decoded-node cache, so a Get is pure pointer-chasing with no
 // deserialization and (at steady state) no allocation. The file-backend
 // pair compares per-operation Insert+Sync against InsertBatch, which takes
-// the write lock once per batch and group-commits a single Sync.
+// the write lock once per batch and ends in a single Sync.
 
 import (
 	"path/filepath"

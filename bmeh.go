@@ -135,10 +135,10 @@ type Options struct {
 	// pinned root and the decoded-object cache (plus, below the store,
 	// the OS page cache).
 	CacheFrames int
-	// SyncPolicy enables commit coalescing (group commit) for Sync: the
-	// zero value commits each Sync individually; a non-zero policy batches
-	// concurrent and back-to-back Sync calls into one WAL commit + fsync
-	// pair. See SyncPolicy.
+	// SyncPolicy is accepted and ignored; Options reports it as zero. Each
+	// Sync is its own commit. Writers that should share a commit batch
+	// their writes first: InsertBatch does, and so does the network
+	// server's write queue.
 	SyncPolicy SyncPolicy
 	// WriteMode selects the mutation protocol (default WriteModeLatched).
 	// WriteModeCOW enables Snapshot at the cost of page copies on the
@@ -158,23 +158,13 @@ type Options struct {
 	SnapshotMaxPinAge time.Duration
 }
 
-// SyncPolicy configures group commit for Index.Sync. Durability semantics
-// are unchanged — when Sync returns, everything the index acknowledged
-// before the call is durable — but coalesced Sync calls share one
-// write-ahead-log commit and fsync pair instead of paying one each.
+// SyncPolicy is accepted and ignored by Options.SyncPolicy and
+// SetSyncPolicy: Index.Sync commits once per call and batches nothing.
+// The type stays so existing callers compile.
 type SyncPolicy struct {
-	// Interval is how long the first Sync caller (the commit leader)
-	// holds the batch open for more callers to join. Zero adds no
-	// latency: only callers arriving while a commit is already in flight
-	// coalesce.
-	Interval time.Duration
-	// MaxBatch closes a batch early once this many Sync callers have
-	// joined. Zero means unbounded.
-	MaxBatch int
+	Interval time.Duration // ignored
+	MaxBatch int           // ignored
 }
-
-// Enabled reports whether the policy asks for any coalescing.
-func (p SyncPolicy) Enabled() bool { return p.Interval > 0 || p.MaxBatch > 0 }
 
 // PoolStats is the counter pair of the retired byte-level page pool. No
 // index has one any more, so Index.PoolStats always reports the zero
@@ -219,7 +209,7 @@ type impl interface {
 // synchronizes itself — searches run latch-free with optimistic
 // validation, and writers crab per-node latches so inserts into different
 // subtrees proceed in parallel; ix.mu then only fences lifecycle state
-// (Options, sync policy, Close) and is held shared by data operations.
+// (Sync, Close) and is held shared by data operations.
 // The comparison schemes (MDEH, MEH) are single-writer: their mutations
 // serialize on ix.mu's write side, with lookups sharing the read side.
 type Index struct {
@@ -234,9 +224,6 @@ type Index struct {
 	// index was opened (0 for New/Create and after a clean shutdown).
 	recovered int
 	closed    bool
-	// gc, when non-nil, coalesces Sync calls (group commit). Read without
-	// ix.mu — the leader's commit acquires ix.mu itself.
-	gc atomic.Pointer[pagestore.GroupCommitter]
 	// keyPool recycles converted key vectors for Get/Insert/Delete; the
 	// scheme implementations never retain the vector (stored records clone
 	// it), so the buffer can be reused as soon as the call returns.
@@ -315,7 +302,6 @@ func New(opts Options) (*Index, error) {
 	if err := ix.applyWriteMode(opts.WriteMode); err != nil {
 		return nil, err
 	}
-	ix.SetSyncPolicy(opts.SyncPolicy)
 	return ix, nil
 }
 
@@ -367,7 +353,6 @@ func Create(path string, opts Options) (*Index, error) {
 		file.Close()
 		return nil, err
 	}
-	ix.SetSyncPolicy(opts.SyncPolicy)
 	return ix, nil
 }
 
@@ -377,8 +362,8 @@ func Open(path string, cacheFrames int) (*Index, error) {
 	return OpenWithOptions(path, Options{})
 }
 
-// OpenWithOptions is Open with the full set of runtime options: WriteMode,
-// SnapshotMaxPinAge and SyncPolicy are honored; geometry fields (Scheme,
+// OpenWithOptions is Open with the full set of runtime options: WriteMode
+// and SnapshotMaxPinAge are honored; geometry fields (Scheme,
 // Dims, PageCapacity, NodeBits, Width) are recovered from the file and
 // ignored in opts.
 func OpenWithOptions(path string, opts Options) (*Index, error) {
@@ -423,7 +408,6 @@ func OpenWithOptions(path string, opts Options) (*Index, error) {
 		NodeBits:          ix.prm.Xi,
 		Width:             ix.prm.Width,
 		WriteMode:         opts.WriteMode,
-		SyncPolicy:        opts.SyncPolicy,
 		SnapshotMaxPinAge: opts.SnapshotMaxPinAge,
 	}
 	if err := ix.applyWriteMode(opts.WriteMode); err != nil {
@@ -431,7 +415,6 @@ func OpenWithOptions(path string, opts Options) (*Index, error) {
 		return nil, err
 	}
 	ix.recovered = file.RecoveredCommits()
-	ix.SetSyncPolicy(opts.SyncPolicy)
 	return ix, nil
 }
 
@@ -447,6 +430,7 @@ func (ix *Index) Options() Options {
 	o.Width = ix.prm.Width
 	o.NodeBits = append([]int(nil), ix.prm.Xi...)
 	o.CacheFrames = 0
+	o.SyncPolicy = SyncPolicy{}
 	return o
 }
 
@@ -558,11 +542,11 @@ func (ix *Index) Insert(k Key, value uint64) error {
 }
 
 // InsertBatch stores the given pairs, then issues a single Sync,
-// amortizing lock traffic and (with a SyncPolicy set) the WAL commit and
-// fsync across the whole batch. Under the BMEH scheme the batch is
-// partitioned across worker goroutines that insert concurrently through
-// the core's latch-crabbing write path; the comparison schemes apply the
-// batch sequentially under one write lock. Pairs whose key is already
+// amortizing lock traffic and the WAL commit and fsync across the whole
+// batch. Under the BMEH scheme the batch is partitioned across worker
+// goroutines that insert concurrently through the core's latch-crabbing
+// write path; the comparison schemes apply the batch sequentially under
+// one write lock. Pairs whose key is already
 // present are skipped — the returned count is the number actually
 // inserted, so duplicates are len(kvs) minus that count. Any other error
 // stops the batch (concurrent workers finish their in-flight pair): pairs
@@ -574,7 +558,7 @@ func (ix *Index) InsertBatch(kvs []KV) (int, error) {
 // InsertBatchStatus is InsertBatch with per-entry outcomes: dup[i] is
 // true when entry i was skipped because its key was already present.
 // Callers that answer for each pair individually — the network server's
-// write coalescer funnels many clients' PUTs through here — need to know
+// write queue funnels many clients' PUTs through here — need to know
 // which entries the count excludes, not just how many. On a non-nil
 // error the dup slice only covers entries processed before the failure.
 func (ix *Index) InsertBatchStatus(kvs []KV) (inserted int, dup []bool, err error) {
@@ -618,8 +602,6 @@ func (ix *Index) insertBatch(kvs []KV, dup []bool) (int, error) {
 		}
 	}
 	ix.mu.Unlock()
-	// Sync outside the lock: with group commit enabled, the commit leader
-	// acquires the write lock itself.
 	return inserted, ix.Sync()
 }
 
@@ -848,24 +830,8 @@ func (ix *Index) Dump(w io.Writer) error {
 	return fmt.Errorf("bmeh: scheme %v does not support Dump", ix.scheme)
 }
 
-// SetSyncPolicy enables (non-zero policy) or disables (zero policy) group
-// commit for this index's Sync. It may be called at any time, including on
-// an index opened with Open.
-func (ix *Index) SetSyncPolicy(p SyncPolicy) {
-	if !p.Enabled() {
-		ix.gc.Store(nil)
-		return
-	}
-	pol := pagestore.SyncPolicy{Interval: p.Interval, MaxBatch: p.MaxBatch}
-	ix.gc.Store(pagestore.NewGroupCommitter(pol, func() error {
-		ix.mu.Lock()
-		defer ix.mu.Unlock()
-		if ix.closed {
-			return pagestore.ErrClosed
-		}
-		return ix.syncLocked()
-	}))
-}
+// SetSyncPolicy does nothing; see SyncPolicy.
+func (ix *Index) SetSyncPolicy(p SyncPolicy) {}
 
 // SetDecodedCacheCapacity resizes the BMEH core's decoded-object caches
 // (directory nodes and data pages), rebuilding them empty; zero disables
@@ -892,15 +858,13 @@ func (ix *Index) PoolStats() (stats PoolStats, ok bool) {
 
 // Sync writes deferred page images back to the store and commits them
 // with the index header (file-backed indexes). In-memory indexes treat
-// Sync as that write-back alone. With a SyncPolicy set, concurrent and
-// back-to-back Sync calls coalesce into one commit; each caller still
-// returns only once everything it staged is durable.
+// Sync as that write-back alone. Each call is one commit.
 func (ix *Index) Sync() error {
-	if gc := ix.gc.Load(); gc != nil {
-		return gc.Sync()
-	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	if ix.closed {
+		return pagestore.ErrClosed
+	}
 	return ix.syncLocked()
 }
 

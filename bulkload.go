@@ -112,9 +112,8 @@ func (ix *Index) BulkLoad(next func() (KV, bool, error), opts BulkOptions) (Bulk
 	if err != nil {
 		return stats, translateErr(err)
 	}
-	// The commit point: the new root rides to disk in one group-committed
-	// batch. Crash before this Sync → the pre-load index; after → the
-	// loaded one.
+	// The commit point: the new root rides to disk in one WAL commit.
+	// Crash before this Sync → the pre-load index; after → the loaded one.
 	if err := ix.Sync(); err != nil {
 		return stats, err
 	}

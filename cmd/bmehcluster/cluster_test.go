@@ -135,7 +135,7 @@ func TestClusterProcessKillPrimary(t *testing.T) {
 			}
 		}(w * 31)
 	}
-	// A writer hammers fresh keys so the SIGKILL lands mid group-commit;
+	// A writer hammers fresh keys so the SIGKILL lands mid-commit;
 	// its errors while one shard is dark are expected.
 	var puts, putErrs atomic.Uint64
 	stopWrite := make(chan struct{})

@@ -118,8 +118,6 @@ func childMain() {
 	fs.BoolVar(&cfg.Create, "create", false, "create -index if it does not exist")
 	fs.IntVar(&cfg.Dims, "dims", 2, "key dimensions (new indexes only)")
 	fs.IntVar(&cfg.Capacity, "b", 32, "data page capacity (new indexes only)")
-	fs.DurationVar(&cfg.SyncInterval, "sync-interval", 200*time.Microsecond, "group-commit window")
-	fs.IntVar(&cfg.SyncBatch, "sync-batch", 64, "group-commit max batch")
 	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", 30*time.Second, "graceful shutdown budget")
 	fs.StringVar(&cfg.ReplicaOf, "replica-of", "", "follow this primary as a read replica")
 	fs.BoolVar(&cfg.COW, "cow", false, "copy-on-write writers + MVCC snapshot reads")
@@ -297,7 +295,6 @@ func (c *procCluster) startChild(path, replicaOf string) (*proc, error) {
 		args = append(args,
 			"-create", "-cow",
 			"-dims", fmt.Sprint(c.opts.Dims), "-b", fmt.Sprint(c.opts.Capacity),
-			"-sync-interval", "200us", "-sync-batch", "64",
 			"-snap-max-pin-age", c.opts.SnapMaxPinAge.String(),
 		)
 	} else {

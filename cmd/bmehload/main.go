@@ -157,7 +157,7 @@ func encodeRow(cols []colSpec, rec []string, row int, errw io.Writer) (bmeh.Key,
 // loadCSV streams rows from r into ix in batches of batchSize (1 falls
 // back to per-row Insert); returns rows indexed, duplicates skipped and
 // malformed rows skipped. Batches go through InsertBatch: one write lock
-// and one group-committed Sync per batch instead of per row. If stop is
+// and one Sync per batch instead of per row. If stop is
 // closed mid-load the current batch is flushed and errStopped returned.
 func loadCSV(ix *bmeh.Index, r io.Reader, cols []colSpec, header bool, batchSize int, errw io.Writer, stop <-chan struct{}) (loaded, dups, bad int, err error) {
 	if batchSize < 1 {

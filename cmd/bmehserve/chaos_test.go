@@ -1,8 +1,8 @@
 package main
 
 // Process-level chaos matrix: real bmehserve processes (the test binary
-// re-execs itself) joined by real TCP, with kill -9 landing mid
-// group-commit. In every scenario the replica must converge to the
+// re-execs itself) joined by real TCP, with kill -9 landing
+// mid-commit. In every scenario the replica must converge to the
 // primary's exact commit sequence, both stores must pass Fsck, and the
 // two files must be byte-for-byte identical after clean shutdowns.
 
@@ -185,11 +185,10 @@ func primaryArgs(path string) []string {
 	return []string{
 		"-index", path, "-create",
 		"-dims", "2", "-b", "16",
-		"-sync-interval", "200us", "-sync-batch", "64",
 	}
 }
 
-// TestChaosKillPrimary: kill -9 the primary mid group-commit while GETs
+// TestChaosKillPrimary: kill -9 the primary mid-commit while GETs
 // stream against the cluster client. Reads must see zero errors (the
 // replica carries them), the restarted primary must recover and resume
 // shipping, and the matrix ends with replica-then-primary shutdown.

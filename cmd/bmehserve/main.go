@@ -4,7 +4,7 @@
 // in-memory one (-mem, for benchmarking and tests).
 //
 // SIGINT or SIGTERM starts a graceful drain: the listener closes, every
-// request already received is answered, the coalescer flushes, and the
+// request already received is answered, the write queue commits, and the
 // index Syncs — so the next open replays nothing from the WAL and
 // reports a clean shutdown. A second signal aborts the drain.
 //
@@ -44,10 +44,6 @@ func main() {
 	flag.BoolVar(&cfg.Mem, "mem", false, "serve a fresh in-memory index instead of a file")
 	flag.IntVar(&cfg.Dims, "dims", 2, "key dimensions (new indexes only)")
 	flag.IntVar(&cfg.Capacity, "b", 32, "data page capacity (new indexes only)")
-	flag.DurationVar(&cfg.SyncInterval, "sync-interval", 200*time.Microsecond, "group-commit window (0 = commit-in-flight coalescing only)")
-	flag.IntVar(&cfg.SyncBatch, "sync-batch", 64, "group-commit max batch (0 = unbounded)")
-	flag.IntVar(&cfg.CoalesceMax, "coalesce-max", 0, "max PUTs folded into one InsertBatch (0 = server default)")
-	flag.DurationVar(&cfg.CoalesceWait, "coalesce-wait", 0, "how long to hold a non-full PUT batch open (0 = don't wait)")
 	flag.DurationVar(&cfg.DrainTimeout, "drain-timeout", 30*time.Second, "graceful shutdown budget")
 	flag.StringVar(&cfg.ReplicaOf, "replica-of", "", "follow this primary (host:port) as a read replica")
 	flag.BoolVar(&cfg.COW, "cow", false, "copy-on-write writes: RANGE reads run against MVCC snapshots")

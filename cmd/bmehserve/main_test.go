@@ -77,7 +77,6 @@ func TestDaemonRestart(t *testing.T) {
 	cfg := serve.Config{
 		IndexPath: path, Create: true,
 		Dims: 2, Capacity: 16,
-		SyncInterval: 200 * time.Microsecond, SyncBatch: 64,
 	}
 
 	addr, sig, wait := startDaemon(t, cfg)

@@ -1,9 +1,9 @@
 package bmeh
 
 // Parallel stress tests for the concurrent read path: readers, writers, a
-// periodic group-committing Sync and a structural Validate all race on one
-// index. Run under -race in CI; correctness here means no detector report,
-// no structural invariant violation, and every acknowledged insert
+// periodic Sync and a structural Validate all race on one index. Run
+// under -race in CI; correctness here means no detector report, no
+// structural invariant violation, and every acknowledged insert
 // retrievable at the end.
 
 import (
@@ -19,7 +19,6 @@ func stressIndex(t *testing.T, backend string) *Index {
 	opts := Options{
 		Dims:         2,
 		PageCapacity: 8,
-		SyncPolicy:   SyncPolicy{Interval: 200 * time.Microsecond, MaxBatch: 8},
 	}
 	switch backend {
 	case "mem":
@@ -129,8 +128,7 @@ func TestParallelStress(t *testing.T) {
 				}(r)
 			}
 
-			// Syncer: periodic group-committed Syncs concurrent with
-			// everything else.
+			// Syncer: periodic Syncs concurrent with everything else.
 			wg.Add(1)
 			go func() {
 				defer wg.Done()

@@ -209,7 +209,6 @@ func (c *Cluster) indexOptions() bmeh.Options {
 		Dims:              c.opts.Dims,
 		PageCapacity:      c.opts.Capacity,
 		WriteMode:         bmeh.WriteModeCOW,
-		SyncPolicy:        bmeh.SyncPolicy{Interval: 200 * time.Microsecond, MaxBatch: 64},
 		SnapshotMaxPinAge: c.opts.SnapMaxPinAge,
 	}
 }
@@ -230,7 +229,6 @@ func (c *Cluster) startPrimary(path string) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix.SetSyncPolicy(opts.SyncPolicy)
 	hub := repl.NewHub(ix, repl.HubOptions{})
 	if err := ix.SetReplPublisher(hub.Publish); err != nil {
 		hub.Close()

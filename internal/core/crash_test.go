@@ -25,16 +25,17 @@ type crashOp struct {
 // Validate and every record acknowledged (synced) before the crash must
 // be retrievable, with acknowledged deletes staying deleted.
 func TestCrashMatrix(t *testing.T) {
-	testCrashMatrix(t, pagestore.SyncPolicy{}, 240, false, false)
+	testCrashMatrix(t, 240, 1, false, false)
 }
 
-// TestCrashMatrixGroupCommit re-runs the sweep with every commit routed
-// through a GroupCommitter: the coalesced path must provide the same
-// commit-boundary atomicity as the direct one. (Fewer points than the
-// direct sweep; the commit machinery under test is identical at every
-// point.)
+// TestCrashMatrixGroupCommit re-runs the sweep with four operations per
+// commit, the shape of the server's write queue: a batch of writes is
+// applied and then committed once, and none of them is acknowledged before
+// that commit. A crash must leave every earlier group intact, and the
+// tree valid whichever way the in-flight group went. (Fewer points than
+// the direct sweep; the commit machinery under test is the same.)
 func TestCrashMatrixGroupCommit(t *testing.T) {
-	testCrashMatrix(t, pagestore.SyncPolicy{MaxBatch: 4}, 60, false, false)
+	testCrashMatrix(t, 60, 4, false, false)
 }
 
 // TestCrashMatrixMmap runs the full sweep over real files (tmpfs when
@@ -45,7 +46,7 @@ func TestCrashMatrixGroupCommit(t *testing.T) {
 // mapping, and the sweep checks that it does. Where the platform has no
 // mmap, OpenMappedFile is a plain file and the reboot reads through pread.
 func TestCrashMatrixMmap(t *testing.T) {
-	testCrashMatrix(t, pagestore.SyncPolicy{}, 240, true, false)
+	testCrashMatrix(t, 240, 1, true, false)
 }
 
 // TestCrashMatrixCOW runs the full 240-point sweep in the copy-on-write
@@ -54,7 +55,7 @@ func TestCrashMatrixMmap(t *testing.T) {
 // must land the reboot on exactly the tree the last durable meta record
 // named — the root swap is atomic or it did not happen.
 func TestCrashMatrixCOW(t *testing.T) {
-	testCrashMatrix(t, pagestore.SyncPolicy{}, 240, false, true)
+	testCrashMatrix(t, 240, 1, false, true)
 }
 
 // crashTempDir prefers tmpfs so the sweep's per-operation fsync
@@ -70,7 +71,9 @@ func crashTempDir(t *testing.T) string {
 	return t.TempDir()
 }
 
-func testCrashMatrix(t *testing.T, policy pagestore.SyncPolicy, points int64, mmap, cow bool) {
+// testCrashMatrix sweeps points crash points over the workload, committing
+// after every group operations (and after the last).
+func testCrashMatrix(t *testing.T, points int64, group int, mmap, cow bool) {
 	if testing.Short() {
 		t.Skip("crash matrix is a sweep; skipped in -short")
 	}
@@ -111,10 +114,10 @@ func testCrashMatrix(t *testing.T, policy pagestore.SyncPolicy, points int64, mm
 	}
 
 	// run executes the workload over a crash-wrapped store, committing
-	// (meta + pages) after every operation. It returns the acknowledged
-	// state — key index → present — as of the last successful commit, and
-	// the operation in flight when the run died.
-	run := func(cd *pagestore.CrashDisk, main, wal pagestore.File, armAt int64, mode pagestore.CrashMode) (acked map[int]bool, pending *crashOp, err error) {
+	// (meta + pages) after every group of operations. It returns the
+	// acknowledged state — key index → present — as of the last successful
+	// commit, and the keys of the operations in flight when the run died.
+	run := func(cd *pagestore.CrashDisk, main, wal pagestore.File, armAt int64, mode pagestore.CrashMode) (acked, pending map[int]bool, err error) {
 		fd, err := pagestore.CreateFileDiskFiles(cd.File(main), cd.File(wal), ps)
 		if err != nil {
 			return nil, nil, err
@@ -137,11 +140,6 @@ func testCrashMatrix(t *testing.T, policy pagestore.SyncPolicy, points int64, mm
 			}
 			return fd.Sync()
 		}
-		if policy.Enabled() {
-			// The shape bmeh.Index uses: the committer coalesces the whole
-			// flush + meta + commit sequence, not the store's Sync alone.
-			commit = pagestore.NewGroupCommitter(policy, commit).Sync
-		}
 		if err := commit(); err != nil {
 			return nil, nil, err
 		}
@@ -150,24 +148,29 @@ func testCrashMatrix(t *testing.T, policy pagestore.SyncPolicy, points int64, mm
 		}
 		acked = map[int]bool{}
 		live := map[int]bool{}
-		for i := range ops {
-			o := ops[i]
+		pending = map[int]bool{}
+		for i, o := range ops {
 			var err error
 			if o.del {
 				_, err = tr.Delete(keys[o.idx])
 			} else {
 				err = tr.Insert(keys[o.idx], uint64(o.idx))
 			}
+			pending[o.idx] = true
 			if err != nil && err != ErrDuplicate {
-				return acked, &o, err
+				return acked, pending, err
 			}
 			live[o.idx] = !o.del
+			if (i+1)%group != 0 && i < len(ops)-1 {
+				continue
+			}
 			if err := commit(); err != nil {
-				return acked, &o, err
+				return acked, pending, err
 			}
 			for k, v := range live {
 				acked[k] = v
 			}
+			pending = map[int]bool{}
 		}
 		return acked, nil, nil
 	}
@@ -239,8 +242,8 @@ func testCrashMatrix(t *testing.T, policy pagestore.SyncPolicy, points int64, mm
 			t.Fatalf("point %d (+%d, %v): recovered tree invalid: %v", p, armAt, mode, err)
 		}
 		for idx, present := range acked {
-			if pending != nil && idx == pending.idx {
-				// The in-flight operation may have rolled forward (its
+			if pending[idx] {
+				// The in-flight operations may have rolled forward (their
 				// commit was durable) or back; either is a consistent
 				// outcome and Validate has already vouched for the tree.
 				continue

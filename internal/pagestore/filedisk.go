@@ -800,8 +800,6 @@ func (d *FileDisk) Dirty() int {
 // and the meta page to the WAL, fsyncs, applies them to their home slots,
 // fsyncs the main file, and resets the WAL. After Sync returns, the commit
 // survives any crash; if Sync fails, the previous commit survives instead.
-// Callers that want concurrent Syncs to share one commit wrap the commit
-// sequence in a GroupCommitter, as bmeh.Index does.
 func (d *FileDisk) Sync() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -365,3 +365,127 @@ func TestFaultStoreTornWrite(t *testing.T) {
 		t.Fatalf("untargeted page damaged: %x %v", buf[63], err)
 	}
 }
+
+// TestGroupCommitterCoalesces: the writes that concurrent writers stage
+// before a commit all ride that one commit. Every writer stages its page
+// and then calls Sync; the first Sync commits the whole group and the rest
+// find nothing left to commit, yet each returns only once its own page is
+// committed. This is the store side of the server's write queue, which
+// applies a batch of writes before one Sync.
+func TestGroupCommitterCoalesces(t *testing.T) {
+	fd, err := CreateFileDiskFiles(NewMemFile(), NewMemFile(), 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fd.Close()
+	var mu sync.Mutex
+	committed := map[PageID]uint64{}
+	fd.SetCommitHook(func(seq uint64, frames []Frame) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, fr := range frames {
+			committed[fr.ID] = seq
+		}
+	})
+	seq0 := fd.CommitSeq()
+	const writers = 32
+	ids := make([]PageID, writers)
+	for i := range ids {
+		if ids[i], err = fd.Alloc(KindData); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var staged, wg sync.WaitGroup
+	staged.Add(writers)
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			buf := make([]byte, 8)
+			binary.BigEndian.PutUint64(buf, uint64(i)+1)
+			err := fd.Write(ids[i], buf)
+			staged.Done()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			staged.Wait()
+			if err := fd.Sync(); err != nil {
+				t.Error(err)
+				return
+			}
+			mu.Lock()
+			_, ok := committed[ids[i]]
+			mu.Unlock()
+			if !ok {
+				t.Errorf("Sync returned before page %d was committed", ids[i])
+			}
+		}(i)
+	}
+	wg.Wait()
+	if got := fd.CommitSeq() - seq0; got != 1 {
+		t.Fatalf("%d Syncs over writes staged together made %d commits, want 1", writers, got)
+	}
+	for _, id := range ids {
+		if committed[id] != seq0+1 {
+			t.Fatalf("page %d committed in batch %d, want %d", id, committed[id], seq0+1)
+		}
+	}
+}
+
+// TestFileDiskGroupCommitDurability runs concurrent writers that each
+// write their own page and Sync, so that commits share whatever was staged
+// when they ran, then reopens the surviving bytes: every synced page must
+// be durable.
+func TestFileDiskGroupCommitDurability(t *testing.T) {
+	main, wal := NewMemFile(), NewMemFile()
+	fd, err := CreateFileDiskFiles(main, wal, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq0 := fd.CommitSeq()
+	const writers = 8
+	ids := make([]PageID, writers)
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		id, err := fd.Alloc(KindData)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			buf := make([]byte, 8)
+			binary.BigEndian.PutUint64(buf, uint64(i)+1)
+			if err := fd.Write(ids[i], buf); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := fd.Sync(); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	commits := fd.CommitSeq() - seq0
+	if commits == 0 || commits > writers {
+		t.Fatalf("commits = %d out of %d syncs", commits, writers)
+	}
+	t.Logf("%d syncs, %d commits", writers, commits)
+	// Reopen WITHOUT Close: only Sync-acknowledged state may count.
+	fd2, err := OpenFileDiskFiles(main, wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fd2.Close()
+	buf := make([]byte, 128)
+	for i, id := range ids {
+		if err := fd2.Read(id, buf); err != nil {
+			t.Fatalf("page %d: %v", id, err)
+		}
+		if got := binary.BigEndian.Uint64(buf); got != uint64(i)+1 {
+			t.Fatalf("page %d holds %d, want %d", id, got, i+1)
+		}
+	}
+}

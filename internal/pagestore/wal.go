@@ -3,9 +3,6 @@ package pagestore
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // This file implements the physical write-ahead log that makes FileDisk's
@@ -15,6 +12,11 @@ import (
 // every fully committed batch and discards an incomplete tail, so a crash
 // at any point leaves the store either at the previous commit or at the
 // new one — never in between.
+//
+// One Sync is one commit. Batching many writers into one commit happens
+// above the store: bmeh.Index.InsertBatch applies a whole batch before its
+// single Sync, and the network server's write queue gathers every
+// client's PUT, BATCH and SYNC into such a batch.
 //
 // Layout (all integers big-endian):
 //
@@ -233,121 +235,3 @@ func (w *WAL) Reset() error {
 
 // Close closes the underlying file.
 func (w *WAL) Close() error { return w.f.Close() }
-
-// Group commit
-//
-// A WAL commit costs two fsyncs (the log append and the post-apply reset)
-// plus the main file's fsync, so a workload that syncs after every
-// operation pays three device flushes per operation. Group commit
-// amortizes them: concurrent and back-to-back Sync calls are coalesced so
-// that one WAL commit makes all of their staged writes durable at once.
-//
-// The mechanism is the classic leader/follower scheme. The first Sync
-// caller to arrive becomes the leader of a commit group; callers arriving
-// while the group is open join it and block. The leader optionally holds
-// the group open for SyncPolicy.Interval (cut short once SyncPolicy.
-// MaxBatch callers have gathered), then waits for any in-flight commit to
-// finish — during that wait more followers can still pile on, which is
-// what batches back-to-back call bursts even with Interval zero — closes
-// the group, runs the commit exactly once, and wakes every member with the
-// result. A caller's staged writes always happen-before its Sync call, and
-// every member joined before the group closed, which is before the commit
-// ran — so one commit durably covers the whole group.
-
-// SyncPolicy configures commit coalescing. The zero value disables it
-// (every Sync commits individually, the pre-group-commit behavior).
-type SyncPolicy struct {
-	// Interval is how long a commit leader holds its group open for more
-	// Sync callers to join. Zero means don't wait: only callers that
-	// arrive while a previous commit is still in flight are coalesced,
-	// which adds no latency to an uncontended Sync.
-	Interval time.Duration
-	// MaxBatch closes the group early once this many callers (leader
-	// included) have joined. Zero means no bound.
-	MaxBatch int
-}
-
-// Enabled reports whether the policy asks for coalescing at all.
-func (p SyncPolicy) Enabled() bool { return p.Interval > 0 || p.MaxBatch > 0 }
-
-// commitGroup is one open batch of Sync callers awaiting a shared commit.
-type commitGroup struct {
-	done    chan struct{} // closed when the commit finished; err is set
-	full    chan struct{} // signaled when MaxBatch members have joined
-	err     error
-	members int
-}
-
-// GroupCommitter coalesces calls to a commit function under a SyncPolicy.
-// bmeh.Index wraps its whole flush + meta-marshal + store commit sequence
-// in one, so a coalesced group shares every step, not only the fsync.
-// Safe for concurrent use.
-type GroupCommitter struct {
-	policy SyncPolicy
-	commit func() error
-
-	mu       sync.Mutex // guards cur
-	commitMu sync.Mutex // serializes commit execution
-	cur      *commitGroup
-
-	syncs   atomic.Uint64 // Sync calls served
-	commits atomic.Uint64 // commit executions performed
-}
-
-// NewGroupCommitter returns a committer that coalesces Sync calls into
-// invocations of commit according to policy.
-func NewGroupCommitter(policy SyncPolicy, commit func() error) *GroupCommitter {
-	return &GroupCommitter{policy: policy, commit: commit}
-}
-
-// Sync makes everything staged before the call durable, sharing one
-// commit with every other caller in the same group. It returns the
-// group's commit error.
-func (g *GroupCommitter) Sync() error {
-	g.syncs.Add(1)
-	g.mu.Lock()
-	if c := g.cur; c != nil {
-		// Follower: the group is still open, so the commit has not run
-		// yet and will cover this caller's staged writes.
-		c.members++
-		if g.policy.MaxBatch > 0 && c.members >= g.policy.MaxBatch {
-			select {
-			case c.full <- struct{}{}:
-			default:
-			}
-		}
-		g.mu.Unlock()
-		<-c.done
-		return c.err
-	}
-	c := &commitGroup{done: make(chan struct{}), full: make(chan struct{}, 1), members: 1}
-	g.cur = c
-	g.mu.Unlock()
-
-	// Leader: optionally hold the group open, then drain any in-flight
-	// commit (followers keep joining during both waits), close the group
-	// and commit on behalf of everyone who joined.
-	if g.policy.Interval > 0 {
-		t := time.NewTimer(g.policy.Interval)
-		select {
-		case <-t.C:
-		case <-c.full:
-			t.Stop()
-		}
-	}
-	g.commitMu.Lock()
-	g.mu.Lock()
-	g.cur = nil
-	g.mu.Unlock()
-	c.err = g.commit()
-	g.commits.Add(1)
-	g.commitMu.Unlock()
-	close(c.done)
-	return c.err
-}
-
-// Counts returns how many Sync calls were served and how many commit
-// executions they cost; syncs − commits is the fsync traffic saved.
-func (g *GroupCommitter) Counts() (syncs, commits uint64) {
-	return g.syncs.Load(), g.commits.Load()
-}

@@ -21,17 +21,17 @@ import (
 // Config carries everything a server process parses from flags. The zero
 // value is not runnable — Addr plus one of Mem/IndexPath is required.
 type Config struct {
-	Addr         string
-	IndexPath    string // file-backed store; "" means in-memory
-	Create       bool   // create IndexPath if absent
-	Mem          bool
-	Dims         int // new indexes only
-	Capacity     int // new indexes only
-	Cache        int // ignored: the byte-level page pool it sized is retired
+	Addr      string
+	IndexPath string // file-backed store; "" means in-memory
+	Create    bool   // create IndexPath if absent
+	Mem       bool
+	Dims      int // new indexes only
+	Capacity  int // new indexes only
+	Cache     int // ignored: the byte-level page pool it sized is retired
+	// SyncInterval and SyncBatch are ignored: the server's write queue
+	// batches commits with a fixed window and cap, and has no knobs.
 	SyncInterval time.Duration
 	SyncBatch    int
-	CoalesceMax  int
-	CoalesceWait time.Duration
 	DrainTimeout time.Duration // graceful-shutdown budget; zero means 30 s
 	ReplicaOf    string        // primary address; "" means this node is a primary
 	COW          bool          // copy-on-write writers + MVCC snapshot reads
@@ -64,7 +64,6 @@ func Run(cfg Config, sig <-chan os.Signal, ready func(net.Addr), logw io.Writer)
 	opts := bmeh.Options{
 		Dims:              cfg.Dims,
 		PageCapacity:      cfg.Capacity,
-		SyncPolicy:        bmeh.SyncPolicy{Interval: cfg.SyncInterval, MaxBatch: cfg.SyncBatch},
 		SnapshotMaxPinAge: cfg.SnapMaxPinAge,
 	}
 	if cfg.COW {
@@ -88,7 +87,6 @@ func Run(cfg Config, sig <-chan os.Signal, ready func(net.Addr), logw io.Writer)
 	if err != nil {
 		return err
 	}
-	ix.SetSyncPolicy(opts.SyncPolicy)
 	defer ix.Close()
 	if !cfg.Mem {
 		rec := ix.Recovery()
@@ -113,10 +111,8 @@ func Run(cfg Config, sig <-chan os.Signal, ready func(net.Addr), logw io.Writer)
 		}()
 	}
 	srv := server.New(ix, server.Config{
-		CoalesceMax:  cfg.CoalesceMax,
-		CoalesceWait: cfg.CoalesceWait,
-		Hub:          hub,
-		Logf:         func(format string, args ...any) { fmt.Fprintf(logw, "bmehserve: "+format+"\n", args...) },
+		Hub:  hub,
+		Logf: func(format string, args ...any) { fmt.Fprintf(logw, "bmehserve: "+format+"\n", args...) },
 	})
 	banner := fmt.Sprintf("serving %d record(s), %d dim(s)", ix.Len(), ix.Options().Dims)
 	return serveUntilSignal(srv, cfg, sig, ready, logw, banner, "")

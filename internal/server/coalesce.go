@@ -12,50 +12,61 @@ import (
 // pipelined burst of small frames decodes from one syscall.
 func newBufReader(r io.Reader) io.Reader { return bufio.NewReaderSize(r, 64<<10) }
 
-// putReq is one PUT awaiting the shared commit; done is called exactly
-// once with nil, bmeh.ErrDuplicate, or the batch's failure.
-type putReq struct {
-	kv   bmeh.KV
-	done func(error)
+const (
+	// commitWindow is how long the write queue holds a batch open, counted
+	// from the moment its first request is taken and before any insert
+	// runs. A client acknowledged by the previous commit sends its next
+	// write tens of microseconds later; the window lets it join this batch
+	// instead of waiting out a whole commit.
+	commitWindow = 200 * time.Microsecond
+	// maxBatch is the most requests one batch takes; a full batch commits
+	// without waiting out the window.
+	maxBatch = 512
+)
+
+// writeReq is one PUT (one pair), BATCH (its pairs) or SYNC (none)
+// awaiting the shared commit. done is called exactly once, on the queue's
+// goroutine, with the batch's duplicate flags for this request's pairs and
+// the commit's error; on a non-nil error the flags mean nothing.
+type writeReq struct {
+	kvs  []bmeh.KV
+	done func(dup []bool, err error)
 }
 
-// coalescer funnels PUTs from every connection into InsertBatchStatus
-// calls. Each batch ends in one Sync, which the index's group committer
-// (bmeh.SyncPolicy) further coalesces with concurrent BATCH and SYNC
-// commits — so a thousand clients each writing one record cost a handful
-// of fsyncs, not a thousand.
+// coalescer is the server's write queue and its only commit batcher.
+// Every request that ends in a commit — PUT, BATCH and SYNC, from every
+// connection — goes through it. Each batch is one InsertBatchStatus call,
+// whose single Index.Sync commits the whole batch, so a thousand clients
+// each writing one record cost a handful of fsyncs, not a thousand.
 //
-// Batches form naturally: while one InsertBatchStatus call runs (its
-// Sync dominates on a file-backed store), newly arriving PUTs queue on
-// the channel; the next round drains them all at once. A non-zero wait
-// additionally holds a non-full batch open, trading latency for batch
-// size on stores where commits are too fast to pile requests up.
+// Batches form from two sources: the commit window, and the requests that
+// queue on the channel while the previous batch commits. Keys are checked
+// at dispatch, so one client's malformed key cannot fail the others' writes
+// in its batch.
 type coalescer struct {
 	ix   *bmeh.Index
-	ch   chan putReq
-	max  int
-	wait time.Duration
+	ch   chan writeReq
 	done chan struct{}
 }
 
-func newCoalescer(ix *bmeh.Index, max int, wait time.Duration) *coalescer {
+func newCoalescer(ix *bmeh.Index) *coalescer {
 	co := &coalescer{
-		ix:   ix,
-		ch:   make(chan putReq, 4*max),
-		max:  max,
-		wait: wait,
+		ix: ix,
+		// Room for four full batches: a reader blocks on enqueue only
+		// when the commits fall that far behind.
+		ch:   make(chan writeReq, 4*maxBatch),
 		done: make(chan struct{}),
 	}
 	go co.run()
 	return co
 }
 
-// enqueue hands a PUT to the coalescer; the request's done callback
-// fires when its batch commits. Callers must not enqueue after close
-// (the server stops reading requests before closing the coalescer).
-func (co *coalescer) enqueue(r putReq) { co.ch <- r }
+// enqueue hands a request to the queue; its done callback fires when its
+// batch commits. Callers must not enqueue after close (the server stops
+// reading requests before closing the queue).
+func (co *coalescer) enqueue(r writeReq) { co.ch <- r }
 
-// close flushes the queue's tail and stops the loop.
+// close commits the queue's tail and stops the loop.
 func (co *coalescer) close() {
 	close(co.ch)
 	<-co.done
@@ -63,78 +74,53 @@ func (co *coalescer) close() {
 
 func (co *coalescer) run() {
 	defer close(co.done)
-	batch := make([]putReq, 0, co.max)
-	kvs := make([]bmeh.KV, 0, co.max)
+	batch := make([]writeReq, 0, maxBatch)
 	for {
 		r, ok := <-co.ch
 		if !ok {
 			return
 		}
-		batch = append(batch[:0], r)
-		batch, ok = co.gather(batch)
-		co.flush(batch, kvs)
+		batch, ok = co.gather(append(batch[:0], r))
+		co.flush(batch)
 		if !ok {
 			return
 		}
 	}
 }
 
-// gather drains queued PUTs into batch (up to max), optionally holding
-// the batch open for co.wait. The second result is false once the
-// channel has closed.
-func (co *coalescer) gather(batch []putReq) ([]putReq, bool) {
-	var timeout <-chan time.Time
-	if co.wait > 0 {
-		t := time.NewTimer(co.wait)
-		defer t.Stop()
-		timeout = t.C
-	}
-	for len(batch) < co.max {
+// gather adds queued requests to batch until the commit window closes or
+// the batch is full. The second result is false once the channel has
+// closed.
+func (co *coalescer) gather(batch []writeReq) ([]writeReq, bool) {
+	t := time.NewTimer(commitWindow)
+	defer t.Stop()
+	for len(batch) < maxBatch {
 		select {
 		case r, ok := <-co.ch:
 			if !ok {
 				return batch, false
 			}
 			batch = append(batch, r)
-		case <-timeout:
+		case <-t.C:
 			return batch, true
-		default:
-			if timeout == nil {
-				return batch, true
-			}
-			// Blocking wait: either more work or the window closing.
-			select {
-			case r, ok := <-co.ch:
-				if !ok {
-					return batch, false
-				}
-				batch = append(batch, r)
-			case <-timeout:
-				return batch, true
-			}
 		}
 	}
 	return batch, true
 }
 
 // flush commits one batch and answers every request in it.
-func (co *coalescer) flush(batch []putReq, kvs []bmeh.KV) {
-	kvs = kvs[:0]
+func (co *coalescer) flush(batch []writeReq) {
+	var kvs []bmeh.KV
 	for _, r := range batch {
-		kvs = append(kvs, r.kv)
+		kvs = append(kvs, r.kvs...)
 	}
+	// A failure mid-batch leaves unknowable which pairs landed, so every
+	// request learns it (PUT and BATCH are not retried automatically —
+	// they are not idempotent).
 	_, dup, err := co.ix.InsertBatchStatus(kvs)
-	for i, r := range batch {
-		switch {
-		case err != nil:
-			// The batch failed mid-way; which entries landed is not
-			// knowable per key, so every caller learns the failure (PUT
-			// is not retried automatically — it is not idempotent).
-			r.done(err)
-		case dup[i]:
-			r.done(bmeh.ErrDuplicate)
-		default:
-			r.done(nil)
-		}
+	for _, r := range batch {
+		n := len(r.kvs)
+		r.done(dup[:n:n], err)
+		dup = dup[n:]
 	}
 }

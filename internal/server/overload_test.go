@@ -101,42 +101,111 @@ func TestMaxConnsBusy(t *testing.T) {
 	}
 }
 
-// TestMaxInflightBusy: pipelined PUTs past the per-connection in-flight
-// cap bounce with StatusBusy while the capped amount completes OK.
+// barrier writes a SHARD_MAP request, which the server answers inline
+// without taking the index lock, and reads until its answer arrives: every
+// request written before it has then been dispatched. Answers that arrive
+// meanwhile are recorded in seen by request ID.
+func (rc *rawConn) barrier(seen map[uint64]wire.Status) {
+	rc.t.Helper()
+	id := rc.write(wire.OpShardMap, nil)
+	for {
+		got, st := rc.next()
+		if got == id {
+			return
+		}
+		seen[got] = st
+	}
+}
+
+// await returns request id's status, from seen or by reading on.
+func (rc *rawConn) await(seen map[uint64]wire.Status, id uint64) wire.Status {
+	rc.t.Helper()
+	for {
+		if st, ok := seen[id]; ok {
+			return st
+		}
+		got, st := rc.next()
+		seen[got] = st
+	}
+}
+
+// TestMaxInflightBusy: with the connection's one in-flight slot taken by
+// a PUT whose commit is held, the seven PUTs pipelined behind it bounce
+// with StatusBusy, and only the first is stored.
 func TestMaxInflightBusy(t *testing.T) {
 	ix := newIndex(t, "mem")
 	defer ix.Close()
-	// A long coalesce hold keeps the first PUT in flight while the rest
-	// of the pipeline arrives.
-	_, addr := startServer(t, ix, server.Config{
-		MaxInflight:  1,
-		CoalesceMax:  64,
-		CoalesceWait: 150 * time.Millisecond,
-	})
-
+	if err := ix.Insert(bmeh.Key{1 << 20, 1 << 20}, 0); err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startServer(t, ix, server.Config{MaxInflight: 1})
 	rc := dialRaw(t, addr)
+	release := server.HoldCommits(t, ix)
+
 	const n = 8
-	for i := 0; i < n; i++ {
+	first := rc.write(wire.OpPut, wire.AppendPutReq(nil, []uint64{0, 1}, 0))
+	for i := 1; i < n; i++ {
 		rc.write(wire.OpPut, wire.AppendPutReq(nil, []uint64{uint64(i), 1}, uint64(i)))
 	}
-	var ok, busy int
-	for i := 0; i < n; i++ {
-		_, st := rc.next()
-		switch st {
-		case wire.StatusOK:
-			ok++
-		case wire.StatusBusy:
-			busy++
-		default:
-			t.Fatalf("pipelined put %d: status %v", i, st)
+	for i := 1; i < n; i++ {
+		if id, st := rc.next(); id == first || st != wire.StatusBusy {
+			t.Fatalf("pipelined put %d answered %v while the first commit is held, want Busy", id, st)
 		}
 	}
-	if ok == 0 || busy == 0 || ok+busy != n {
-		t.Fatalf("pipelined puts past cap: %d ok, %d busy, want both nonzero", ok, busy)
+	release()
+	if id, st := rc.next(); id != first || st != wire.StatusOK {
+		t.Fatalf("put %d answered %v, want put %d OK", id, st, first)
 	}
-	// BUSY guarantees non-execution: only the OK'd PUTs are stored.
-	if got := ix.Len(); got != ok {
-		t.Fatalf("index holds %d records, %d puts were acknowledged OK", got, ok)
+	// BUSY guarantees non-execution: besides the seed record, only the
+	// first PUT is stored.
+	if got := ix.Len(); got != 2 {
+		t.Fatalf("index holds %d records, want 2", got)
+	}
+}
+
+// TestMalformedPutFailsAlone: a PUT whose key the index cannot take —
+// the wrong number of components, or a component past the width — fails
+// by itself, while PUTs from other connections that share its commit
+// still succeed.
+func TestMalformedPutFailsAlone(t *testing.T) {
+	ix := newIndex(t, "mem")
+	defer ix.Close()
+	if err := ix.Insert(bmeh.Key{1, 1}, 1); err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startServer(t, ix, server.Config{})
+	holder, bad, good := dialRaw(t, addr), dialRaw(t, addr), dialRaw(t, addr)
+	// Hold the first commit, so the writes below queue up behind it and
+	// share the next one.
+	release := server.HoldCommits(t, ix)
+	heldSeen, badSeen, goodSeen := map[uint64]wire.Status{}, map[uint64]wire.Status{}, map[uint64]wire.Status{}
+	held := holder.write(wire.OpPut, wire.AppendPutReq(nil, []uint64{2, 2}, 2))
+	holder.barrier(heldSeen)
+	badDims := bad.write(wire.OpPut, wire.AppendPutReq(nil, []uint64{3}, 3))
+	badWidth := bad.write(wire.OpPut, wire.AppendPutReq(nil, []uint64{1 << 40, 3}, 3))
+	bad.barrier(badSeen)
+	ok := good.write(wire.OpPut, wire.AppendPutReq(nil, []uint64{4, 4}, 4))
+	good.barrier(goodSeen)
+	release()
+
+	for _, c := range []struct {
+		rc   *rawConn
+		seen map[uint64]wire.Status
+		id   uint64
+		want wire.Status
+		what string
+	}{
+		{holder, heldSeen, held, wire.StatusOK, "held PUT"},
+		{bad, badSeen, badDims, wire.StatusErr, "PUT with one component"},
+		{bad, badSeen, badWidth, wire.StatusErr, "PUT with a component past the width"},
+		{good, goodSeen, ok, wire.StatusOK, "good PUT"},
+	} {
+		if st := c.rc.await(c.seen, c.id); st != c.want {
+			t.Errorf("%s: status %v, want %v", c.what, st, c.want)
+		}
+	}
+	if got := ix.Len(); got != 3 {
+		t.Fatalf("index holds %d records, want 3", got)
 	}
 }
 

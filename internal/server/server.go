@@ -7,10 +7,11 @@
 // DEL, RANGE, STATS) are answered inline by the reader — they ride the
 // index's latch-free lookup path and keep its zero-allocation descent
 // hot. Operations that end in a commit (PUT, BATCH, SYNC) are completed
-// asynchronously: PUTs from every connection funnel into one write
-// coalescer (see coalesce.go) so the WAL group committer amortizes
-// fsyncs across clients, and their responses are sent when the shared
-// batch commits.
+// asynchronously: they funnel from every connection into one write queue
+// (see coalesce.go), which batches them into shared commits so fsyncs
+// are amortized across clients, and their responses are sent when the
+// shared batch commits. DEL is answered inline, before it is durable: it
+// reaches the WAL with the next commit.
 //
 // Ordering model: an acknowledged write is visible to every request the
 // server decodes after the acknowledgment was sent. Within one
@@ -23,7 +24,7 @@
 //
 // Shutdown drains gracefully: the listener closes, every connection
 // stops reading but finishes and flushes its in-flight responses, the
-// coalescer commits its tail, and the index is Synced — so a subsequent
+// write queue commits its tail, and the index is Synced — so a subsequent
 // open finds a clean shutdown (bmeh.RecoveryInfo.CleanShutdown).
 //
 // Replication: with Config.Hub set (a primary), a connection may issue
@@ -60,20 +61,13 @@ type Config struct {
 	// MaxPayload bounds the payload size accepted from clients
 	// (default wire.DefaultMaxPayload).
 	MaxPayload int
-	// CoalesceMax is the most PUTs folded into one InsertBatchStatus
-	// call (default 512).
-	CoalesceMax int
-	// CoalesceWait is how long the coalescer holds a non-full batch open
-	// for more PUTs to arrive. The default 0 adds no latency: batches
-	// form naturally from whatever queued while the previous commit ran.
-	CoalesceWait time.Duration
 	// RangeLimit caps the entries in one RANGE response (default 4096).
 	// Clients may ask for less; a truncated response sets its
 	// continuation flag.
 	RangeLimit int
 	// WriteTimeout bounds one physical write to a client (default 30s).
 	// A connection that cannot accept bytes for this long is dropped so
-	// a stalled client cannot pin the drain path or the coalescer.
+	// a stalled client cannot pin the drain path or the write queue.
 	WriteTimeout time.Duration
 	// MaxConns caps concurrently served connections (default 4096). A
 	// connection over the cap receives one StatusBusy response and is
@@ -109,9 +103,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxPayload <= 0 {
 		c.MaxPayload = wire.DefaultMaxPayload
 	}
-	if c.CoalesceMax <= 0 {
-		c.CoalesceMax = 512
-	}
 	if c.RangeLimit <= 0 {
 		c.RangeLimit = 4096
 	}
@@ -139,6 +130,8 @@ type Server struct {
 	cfg   Config
 	co    *coalescer
 	shard *cluster.ShardState
+	// dims and width are the index's key geometry, checked at dispatch.
+	dims, width int
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -162,16 +155,18 @@ type Server struct {
 // New returns an unstarted Server for ix.
 func New(ix *bmeh.Index, cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	opts := ix.Options()
 	shard := cfg.Shard
 	if shard == nil {
-		opts := ix.Options()
 		shard = cluster.NewShardState(opts.Dims, opts.Width)
 	}
 	return &Server{
 		ix:            ix,
 		cfg:           cfg,
 		shard:         shard,
-		co:            newCoalescer(ix, cfg.CoalesceMax, cfg.CoalesceWait),
+		dims:          opts.Dims,
+		width:         opts.Width,
+		co:            newCoalescer(ix),
 		conns:         make(map[*conn]struct{}),
 		loads:         make(map[uint64]*loadSession),
 		loadSweepStop: make(chan struct{}),
@@ -252,7 +247,7 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Shutdown drains the server: stop accepting, let every in-flight
-// request complete and flush, commit the coalescer's tail, then Sync the
+// request complete and flush, commit the write queue's tail, then Sync the
 // index so its WAL is clean. Connections that cannot drain before ctx
 // expires are closed forcibly (their unsent responses are dropped, the
 // staged data still commits). Shutdown does not close the index; the
@@ -295,7 +290,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// All producers are gone; stop the session sweeper (so it cannot
 	// reap a session out from under the teardown below), tear down any
 	// load session still open (its staged pages are freed, the pre-load
-	// state stands), commit whatever the coalescer still holds, then
+	// state stands), commit whatever the write queue still holds, then
 	// leave the WAL reset so the next open sees a clean shutdown.
 	if !already {
 		close(s.loadSweepStop)
@@ -341,7 +336,7 @@ type conn struct {
 	out        chan []byte
 	writerDone chan struct{}
 	// pending counts requests whose response is not yet queued on out
-	// (asynchronously completed PUT/BATCH/SYNC, plus the replication
+	// (PUT/BATCH/SYNC awaiting their commit, plus the replication
 	// streamer).
 	pending sync.WaitGroup
 	// inflight counts asynchronous requests outstanding; at
@@ -422,6 +417,36 @@ func (c *conn) sendStatus(op wire.Op, id uint64, st wire.Status, msg string) {
 	c.send(op, id, wire.AppendStatus(nil, st, msg))
 }
 
+// checkKey rejects a key the index cannot convert: the wrong number of
+// components, or a component past the index's width. Checked at dispatch,
+// a malformed write fails alone instead of failing every write that
+// shares its commit.
+func (s *Server) checkKey(key []uint64) error {
+	if len(key) != s.dims {
+		return fmt.Errorf("key has %d components, index expects %d", len(key), s.dims)
+	}
+	if s.width < 64 {
+		for j, c := range key {
+			if c >= 1<<uint(s.width) {
+				return fmt.Errorf("component %d (%d) exceeds the index's %d-bit width", j+1, c, s.width)
+			}
+		}
+	}
+	return nil
+}
+
+// enqueueWrite hands kvs (none for SYNC) to the write queue, holding a
+// pipeline slot until answer has queued the response.
+func (c *conn) enqueueWrite(kvs []bmeh.KV, answer func(dup []bool, err error)) {
+	c.pending.Add(1)
+	c.inflight.Add(1)
+	c.srv.co.enqueue(writeReq{kvs: kvs, done: func(dup []bool, err error) {
+		answer(dup, err)
+		c.inflight.Add(-1)
+		c.pending.Done()
+	}})
+}
+
 // errStatus maps an index error to a wire status.
 func errStatus(err error) (wire.Status, string) {
 	switch {
@@ -492,6 +517,9 @@ func (c *conn) dispatch(fr wire.Frame) {
 
 	case wire.OpPut:
 		key, val, err := wire.DecodePutReq(fr.Payload)
+		if err == nil {
+			err = c.srv.checkKey(key)
+		}
 		if err != nil {
 			c.sendStatus(fr.Op, fr.ID, wire.StatusErr, err.Error())
 			return
@@ -500,19 +528,15 @@ func (c *conn) dispatch(fr wire.Frame) {
 			c.sendWrongShard(fr.Op, fr.ID)
 			return
 		}
-		// The response leaves when the coalesced batch commits; requests
+		// The response leaves when the shared batch commits; requests
 		// decoded after this one may well answer first (pipelining).
 		id := fr.ID
-		c.pending.Add(1)
-		c.inflight.Add(1)
-		c.srv.co.enqueue(putReq{
-			kv: bmeh.KV{Key: bmeh.Key(key), Value: val},
-			done: func(err error) {
-				st, msg := errStatus(err)
-				c.sendStatus(wire.OpPut, id, st, msg)
-				c.inflight.Add(-1)
-				c.pending.Done()
-			},
+		c.enqueueWrite([]bmeh.KV{{Key: bmeh.Key(key), Value: val}}, func(dup []bool, err error) {
+			if err == nil && dup[0] {
+				err = bmeh.ErrDuplicate
+			}
+			st, msg := errStatus(err)
+			c.sendStatus(wire.OpPut, id, st, msg)
 		})
 
 	case wire.OpRange:
@@ -563,6 +587,11 @@ func (c *conn) dispatch(fr wire.Frame) {
 
 	case wire.OpBatch:
 		kvs, err := wire.DecodeBatchReq(fr.Payload)
+		for i := 0; err == nil && i < len(kvs); i++ {
+			if err = c.srv.checkKey(kvs[i].Key); err != nil {
+				err = fmt.Errorf("batch entry %d: %w", i, err)
+			}
+		}
 		if err != nil {
 			c.sendStatus(fr.Op, fr.ID, wire.StatusErr, err.Error())
 			return
@@ -580,32 +609,31 @@ func (c *conn) dispatch(fr wire.Frame) {
 		for i, kv := range kvs {
 			batch[i] = bmeh.KV{Key: bmeh.Key(kv.Key), Value: kv.Value}
 		}
-		// Asynchronous like PUT: the commit (a Sync) must not stall the
-		// reader, or pipelined lookups behind it would wait a disk flush.
+		// Through the write queue like PUT: the whole batch shares one
+		// commit with every other write queued beside it.
 		id := fr.ID
-		c.pending.Add(1)
-		c.inflight.Add(1)
-		go func() {
-			defer c.pending.Done()
-			defer c.inflight.Add(-1)
-			n, err := c.srv.ix.InsertBatch(batch)
+		c.enqueueWrite(batch, func(dup []bool, err error) {
 			if err != nil {
 				c.sendStatus(wire.OpBatch, id, wire.StatusErr, err.Error())
 				return
 			}
+			n := len(dup)
+			for _, d := range dup {
+				if d {
+					n--
+				}
+			}
 			c.send(wire.OpBatch, id, wire.AppendBatchResp(nil, uint32(n)))
-		}()
+		})
 
 	case wire.OpSync:
+		// A SYNC is an empty write: it returns once the next shared
+		// commit, which covers everything applied before it, is durable.
 		id := fr.ID
-		c.pending.Add(1)
-		c.inflight.Add(1)
-		go func() {
-			defer c.pending.Done()
-			defer c.inflight.Add(-1)
-			st, msg := errStatus(c.srv.ix.Sync())
+		c.enqueueWrite(nil, func(_ []bool, err error) {
+			st, msg := errStatus(err)
 			c.sendStatus(wire.OpSync, id, st, msg)
-		}()
+		})
 
 	case wire.OpStats:
 		st := c.srv.ix.Stats()

@@ -16,13 +16,11 @@ import (
 )
 
 // newIndex builds a Dims=2 index on the requested backend ("mem" or
-// "file"), with a cache and group commit the way a production server
-// would run.
+// "file").
 func newIndex(t *testing.T, backend string) *bmeh.Index {
 	t.Helper()
 	opts := bmeh.Options{
-		Dims:       2,
-		SyncPolicy: bmeh.SyncPolicy{Interval: 200 * time.Microsecond, MaxBatch: 64},
+		Dims: 2,
 	}
 	switch backend {
 	case "mem":
@@ -206,8 +204,8 @@ func TestPipelining(t *testing.T) {
 	}
 
 	// Phase 1: 64 PUTs and a SYNC, all written before reading one
-	// response. The PUTs complete when the coalescer's shared batch
-	// commits; the SYNC runs concurrently — completion order is free.
+	// response. The PUTs and the SYNC complete when the write queue's
+	// shared batch commits — completion order is free.
 	const n = 64
 	var buf []byte
 	for i := 0; i < n; i++ {
@@ -304,8 +302,7 @@ func TestDrainAndRestart(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ix.bmeh")
 	opts := bmeh.Options{
-		Dims:       2,
-		SyncPolicy: bmeh.SyncPolicy{Interval: 200 * time.Microsecond, MaxBatch: 64},
+		Dims: 2,
 	}
 	ix, err := bmeh.Create(path, opts)
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 // TestMultiClientStress hammers one server with 16 independent clients
 // mixing GET/PUT/RANGE (and a few DELs), on both backends. Run under
 // -race in CI, it is the serving layer's data-race exercise: every
-// connection's reader/writer pair, the shared coalescer, and the
+// connection's reader/writer pair, the shared write queue, and the
 // latch-crabbed index all interleave.
 func TestMultiClientStress(t *testing.T) {
 	if testing.Short() {

@@ -1,8 +1,11 @@
 package bmeh
 
 import (
+	"errors"
 	"path/filepath"
 	"testing"
+
+	"bmeh/internal/pagestore"
 )
 
 // TestFileIndexEndToEnd drives the full lifecycle of a file-backed index
@@ -90,5 +93,36 @@ func TestFileIndexEndToEnd(t *testing.T) {
 	}
 	if err := re.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSyncAfterClose: Sync on a closed index fails with
+// pagestore.ErrClosed, the way Insert, Get and Range do, whatever the
+// backing store.
+func TestSyncAfterClose(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		open func() (*Index, error)
+	}{
+		{"mem", func() (*Index, error) { return New(Options{Dims: 2}) }},
+		{"file", func() (*Index, error) {
+			return Create(filepath.Join(t.TempDir(), "index.bmeh"), Options{Dims: 2})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix, err := tc.open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Insert(Key{1, 2}, 3); err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Sync(); !errors.Is(err, pagestore.ErrClosed) {
+				t.Fatalf("Sync after Close: %v, want %v", err, pagestore.ErrClosed)
+			}
+		})
 	}
 }
