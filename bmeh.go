@@ -317,9 +317,7 @@ func (ix *Index) applyWriteMode(mode WriteMode) error {
 		if !ok {
 			return fmt.Errorf("bmeh: WriteModeCOW requires SchemeBMEH (index is %v)", ix.scheme)
 		}
-		if err := tr.EnableCOW(); err != nil {
-			return err
-		}
+		tr.EnableCOW()
 		tr.SetSnapshotMaxPinAge(ix.opts.SnapshotMaxPinAge)
 		return nil
 	default:
@@ -768,7 +766,8 @@ type Stats struct {
 	// the last ResetStats call on the underlying store). In-memory
 	// indexes count logical reads, decoded-cache hits included (the
 	// paper's page accesses); file-backed indexes count only the reads
-	// that reach the file store.
+	// that reach the file store. Every store counts one write per page
+	// image written, so an in-place insert is one write.
 	Reads, Writes uint64
 	// Records is the number of stored records.
 	Records int
@@ -833,32 +832,16 @@ func (ix *Index) Dump(w io.Writer) error {
 // SetSyncPolicy does nothing; see SyncPolicy.
 func (ix *Index) SetSyncPolicy(p SyncPolicy) {}
 
-// SetDecodedCacheCapacity resizes the BMEH core's decoded-object caches
-// (directory nodes and data pages), rebuilding them empty; zero disables
-// the respective cache. Benchmarks use it to isolate the store-level read
-// path; production callers can use it to bound decoded-cache memory. A
-// no-op for the comparison schemes, which have no decoded caches.
-func (ix *Index) SetDecodedCacheCapacity(nodes, pages int) error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.closed {
-		return pagestore.ErrClosed
-	}
-	if tr, ok := ix.idx.(*core.Tree); ok {
-		return tr.SetDecodedCacheCapacity(nodes, pages)
-	}
-	return nil
-}
-
 // PoolStats reports the byte-level page pool's counters. There is no such
 // pool any more, so ok is always false; see the PoolStats type.
 func (ix *Index) PoolStats() (stats PoolStats, ok bool) {
 	return PoolStats{}, false
 }
 
-// Sync writes deferred page images back to the store and commits them
-// with the index header (file-backed indexes). In-memory indexes treat
-// Sync as that write-back alone. Each call is one commit.
+// Sync commits the page images written since the last commit together
+// with the index header (file-backed indexes); each call is one commit.
+// Every insert and delete has already written its pages to the store, so
+// for an in-memory index Sync has nothing to do.
 func (ix *Index) Sync() error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -869,39 +852,30 @@ func (ix *Index) Sync() error {
 }
 
 func (ix *Index) syncLocked() error {
-	// Deferred in-place page writes flush first: the commit below can only
-	// persist bytes that have left the decoded cache.
-	if tr, ok := ix.idx.(*core.Tree); ok {
-		if err := tr.FlushDirtyPages(); err != nil {
-			return err
-		}
+	if ix.file == nil {
+		return nil
 	}
+	// Marshal first: the MDEH snapshot writes its page-table chain
+	// through the store, which the commit below must still see.
 	var meta []byte
-	if ix.file != nil {
-		// Marshal first: the MDEH snapshot writes its page-table chain
-		// through the store, which the commit below must still see.
-		var err error
-		switch v := ix.idx.(type) {
-		case *core.Tree:
-			meta = v.MarshalMeta()
-		case *mehtree.Tree:
-			meta = v.MarshalMeta()
-		case *mdeh.Table:
-			meta, err = v.SaveMeta()
-		default:
-			err = fmt.Errorf("bmeh: scheme %v does not support persistence", ix.scheme)
-		}
-		if err != nil {
-			return err
-		}
+	var err error
+	switch v := ix.idx.(type) {
+	case *core.Tree:
+		meta = v.MarshalMeta()
+	case *mehtree.Tree:
+		meta = v.MarshalMeta()
+	case *mdeh.Table:
+		meta, err = v.SaveMeta()
+	default:
+		err = fmt.Errorf("bmeh: scheme %v does not support persistence", ix.scheme)
 	}
-	if ix.file != nil {
-		if err := ix.file.WriteMeta(meta); err != nil {
-			return err
-		}
-		return ix.file.Sync()
+	if err != nil {
+		return err
 	}
-	return nil
+	if err := ix.file.WriteMeta(meta); err != nil {
+		return err
+	}
+	return ix.file.Sync()
 }
 
 // Close syncs (file-backed) and releases the index. The Index must not be

@@ -63,10 +63,7 @@ func TestCrashMatrixConcurrentWriters(t *testing.T) {
 			for k, v := range live {
 				snap[k] = v
 			}
-			cerr := tr.FlushDirtyPages()
-			if cerr == nil {
-				cerr = fd.WriteMeta(tr.MarshalMeta())
-			}
+			cerr := fd.WriteMeta(tr.MarshalMeta())
 			if cerr == nil {
 				cerr = fd.Sync()
 			}

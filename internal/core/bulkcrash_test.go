@@ -51,9 +51,6 @@ func TestCrashMatrixBulkLoad(t *testing.T) {
 			return 0, err
 		}
 		commit := func() error {
-			if err := tr.FlushDirtyPages(); err != nil {
-				return err
-			}
 			if err := fd.WriteMeta(tr.MarshalMeta()); err != nil {
 				return err
 			}

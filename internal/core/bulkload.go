@@ -108,9 +108,6 @@ func (t *Tree) BulkLoad(next func() (bitkey.Vector, uint64, bool, error), opts B
 	// Phase B — stop writers, fold in the resident records, sort, build.
 	t.wgate.Lock()
 	defer t.wgate.Unlock()
-	if err := t.FlushDirtyPages(); err != nil {
-		return stats, err
-	}
 	var oldPages, oldNodes []pagestore.PageID
 	if err := t.ForEachPageRef(func(id pagestore.PageID, isNode bool) {
 		if isNode {

@@ -159,9 +159,8 @@ func (t *Tree) wouldRestructure(stack []frame, leafID pagestore.PageID, leaf *di
 			// snapshot straight from the store (store reads are internally
 			// consistent) instead of touching the shared cached object,
 			// which a concurrent in-place inserter may be mutating. The
-			// bytes may also lag the decoded object (deferred write-back),
-			// but the answer is advisory either way: the exclusive path
-			// re-checks through the decoded cache.
+			// answer is advisory either way: the exclusive path re-checks
+			// through the decoded cache.
 			bp, err := t.pages.Read(be.Ptr)
 			if err != nil {
 				return false, err

@@ -63,9 +63,6 @@ func (t *Tree) Insert(k bitkey.Vector, v uint64) error {
 	t.wgate.RLock()
 	defer t.wgate.RUnlock()
 	if done, err := t.insertFast(k, v); done {
-		if err == nil {
-			err = t.maybeFlushDirty()
-		}
 		return err
 	}
 	structural := false
@@ -151,19 +148,11 @@ func (t *Tree) insertFast(k bitkey.Vector, v uint64) (done bool, err error) {
 		// sole user of the decoded object (every concurrent reader of a
 		// data page holds its shared latch), so the record goes straight
 		// into the cached page at the position Find already computed — no
-		// clone, no second search. The bytes follow lazily: marking the
-		// entry dirty pins it in the cache and queues it for the batched
-		// flusher (flushdirty.go), which encodes the page once per flush
-		// rather than once per insert. Accounting trees, and the rare
-		// insert whose entry fell out of the cache mid-operation, write
-		// through instead; if that store write fails the dirtied object
-		// is dropped from the cache before the latch is released, so the
-		// next decode restores the committed state.
+		// clone, no second search — and writePage then stores it: one page
+		// write per insert, the paper's §4 cost. If the store write fails
+		// the mutated object is dropped from the cache before the latch is
+		// released, so the next decode restores the committed state.
 		p.InsertAt(i, datapage.Record{Key: k.Clone(), Value: v})
-		if t.acct == nil && t.markPageDirty(e.Ptr) {
-			t.n.Add(1)
-			return true, nil
-		}
 		if err := t.writePage(e.Ptr, p); err != nil {
 			t.pc.invalidate(e.Ptr)
 			return true, err

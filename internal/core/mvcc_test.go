@@ -20,9 +20,7 @@ func newCOWTree(t *testing.T, prm params.Params) (*Tree, *pagestore.MemDisk) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.EnableCOW(); err != nil {
-		t.Fatal(err)
-	}
+	tr.EnableCOW()
 	return tr, st
 }
 
@@ -293,9 +291,7 @@ func TestCOWMetaRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.EnableCOW(); err != nil {
-		t.Fatal(err)
-	}
+	tr.EnableCOW()
 	keys := workload.Uniform(2, 13).Take(200)
 	for i, k := range keys {
 		if err := tr.Insert(k, uint64(i)); err != nil {
@@ -316,9 +312,6 @@ func TestCOWMetaRoundTrip(t *testing.T) {
 		t.Fatal("no pages pending; test needs a pinned snapshot holding retirements")
 	}
 	epoch := tr.Epoch()
-	if err := tr.FlushDirtyPages(); err != nil {
-		t.Fatal(err)
-	}
 	if err := fd.WriteMeta(tr.MarshalMeta()); err != nil {
 		t.Fatal(err)
 	}
@@ -353,9 +346,7 @@ func TestCOWMetaRoundTrip(t *testing.T) {
 	if got := re.ReclaimablePages(); got != 0 {
 		t.Fatalf("%d pages pending after ReclaimPending", got)
 	}
-	if err := re.EnableCOW(); err != nil {
-		t.Fatal(err)
-	}
+	re.EnableCOW()
 	if err := re.Validate(); err != nil {
 		t.Fatal(err)
 	}

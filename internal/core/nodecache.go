@@ -65,17 +65,10 @@ type objShard[V any] struct {
 	m  map[pagestore.PageID]*objEntry[V]
 }
 
-// objEntry wraps a cached object with its second-chance reference bit and,
-// for data pages on the deferred write-back path, a dirty bit. A dirty
-// entry's decoded object is ahead of the page bytes and is the only
-// up-to-date form, so eviction skips it; the dirty-page flusher clears the
-// bit once the bytes catch up. The shard lock serializes markDirty against
-// the eviction sweep, so an entry can never be both chosen as victim and
-// marked dirty.
+// objEntry wraps a cached object with its second-chance reference bit.
 type objEntry[V any] struct {
-	val   V
-	ref   atomic.Bool
-	dirty atomic.Bool
+	val V
+	ref atomic.Bool
 }
 
 // objCache is a sharded, capacity-bounded map from PageID to a decoded
@@ -130,19 +123,14 @@ func (c *objCache[V]) get(id pagestore.PageID) (V, bool) {
 }
 
 // evictOneLocked frees one slot in a full shard by evicting a
-// not-recently-used clean entry. Map iteration order is randomized, so
-// clearing reference bits along the probe acts as a second-chance sweep
-// without a ring. Dirty entries are never victims (their decoded object is
-// the only up-to-date form); if every entry is dirty the shard overflows
-// softly — the dirty-page flusher drains it back under capacity.
+// not-recently-used entry. Map iteration order is randomized, so clearing
+// reference bits along the probe acts as a second-chance sweep without a
+// ring. The store holds every cached object's bytes, so any entry may be
+// the victim.
 func (c *objCache[V]) evictOneLocked(s *objShard[V]) {
-	var fallback pagestore.PageID
-	haveFallback := false
+	var last pagestore.PageID
 	for k, e := range s.m {
-		if e.dirty.Load() {
-			continue
-		}
-		fallback, haveFallback = k, true
+		last = k
 		if e.ref.CompareAndSwap(true, false) {
 			continue // recently used: spend its second chance
 		}
@@ -150,15 +138,14 @@ func (c *objCache[V]) evictOneLocked(s *objShard[V]) {
 		c.evicts.Add(1)
 		return
 	}
-	if haveFallback { // every clean entry was hot: evict the last seen
-		delete(s.m, fallback)
-		c.evicts.Add(1)
-	}
+	// Every entry was hot: evict the last seen.
+	delete(s.m, last)
+	c.evicts.Add(1)
 }
 
 // put installs (or replaces) the object for id, evicting a
 // not-recently-used entry when the shard is full. A put is a write
-// commit — the caller just wrote the bytes — so it clears any dirty bit.
+// commit: the caller just wrote the bytes.
 func (c *objCache[V]) put(id pagestore.PageID, v V) {
 	if c.perShard == 0 {
 		return
@@ -168,7 +155,6 @@ func (c *objCache[V]) put(id pagestore.PageID, v V) {
 	if e, ok := s.m[id]; ok {
 		e.val = v
 		e.ref.Store(true)
-		e.dirty.Store(false)
 		s.mu.Unlock()
 		return
 	}
@@ -202,63 +188,6 @@ func (c *objCache[V]) putIfAbsent(id pagestore.PageID, v V) {
 	e := &objEntry[V]{val: v}
 	e.ref.Store(true)
 	s.m[id] = e
-	s.mu.Unlock()
-}
-
-// markDirty flags id's entry as dirty, pinning it against eviction until
-// the flusher clears it. It reports whether an entry was present: when it
-// is not (cache disabled, or the entry was evicted before the caller's
-// mutation), the caller must fall back to writing the page through.
-// newly distinguishes the first marking from re-dirtying, so each page
-// enters the flush queue once. Runs under the shard lock, which the
-// eviction sweep also holds.
-func (c *objCache[V]) markDirty(id pagestore.PageID) (newly, ok bool) {
-	if c.perShard == 0 {
-		return false, false
-	}
-	s := c.shard(id)
-	s.mu.Lock()
-	e, ok := s.m[id]
-	if ok {
-		e.ref.Store(true)
-		newly = e.dirty.CompareAndSwap(false, true)
-	}
-	s.mu.Unlock()
-	return newly, ok
-}
-
-// getIfDirty returns the cached object only if it is present and dirty.
-// The flusher uses it: an entry that went absent (freed) or clean
-// (rewritten through writePage) since it was queued needs no flush.
-func (c *objCache[V]) getIfDirty(id pagestore.PageID) (V, bool) {
-	var v V
-	if c.perShard == 0 {
-		return v, false
-	}
-	s := c.shard(id)
-	s.mu.Lock()
-	e, ok := s.m[id]
-	if ok && e.dirty.Load() {
-		v = e.val
-	} else {
-		ok = false
-	}
-	s.mu.Unlock()
-	return v, ok
-}
-
-// clearDirty marks id's entry clean again. The caller must have excluded
-// concurrent mutators of the object (the flusher holds the page's shared
-// latch, so in-place inserters, who need it exclusive, are out).
-func (c *objCache[V]) clearDirty(id pagestore.PageID) {
-	if c.perShard == 0 {
-		return
-	}
-	s := c.shard(id)
-	s.mu.Lock()
-	if e, ok := s.m[id]; ok {
-		e.dirty.Store(false)
-	}
 	s.mu.Unlock()
 }
 
@@ -329,16 +258,12 @@ func (t *Tree) PageCacheStats() CacheStats {
 	return CacheStats{s.Hits, s.Misses, s.Evictions, s.Invalidations, t.pc.len()}
 }
 
-// SetDecodedCacheCapacity resizes the decoded caches (rebuilding them
+// setDecodedCacheCapacity resizes the decoded caches (rebuilding them
 // empty): nodes bounds cached directory nodes, pages cached data pages.
 // Zero or negative disables the respective cache — every read then decodes
-// from page bytes, the pre-cache behavior. Dirty pages are flushed first,
-// since dropping the old cache discards the only up-to-date form of each.
-// Not safe to call concurrently with operations on the tree.
-func (t *Tree) SetDecodedCacheCapacity(nodes, pages int) error {
-	if err := t.FlushDirtyPages(); err != nil {
-		return err
-	}
+// from page bytes, the pre-cache behavior. Not safe to call concurrently
+// with operations on the tree.
+func (t *Tree) setDecodedCacheCapacity(nodes, pages int) {
 	if nodes < 0 {
 		nodes = 0
 	}
@@ -347,7 +272,6 @@ func (t *Tree) SetDecodedCacheCapacity(nodes, pages int) error {
 	}
 	t.nc = newObjCache[*dirnode.Node](nodes)
 	t.pc = newObjCache[*datapage.Page](pages)
-	return nil
 }
 
 // AdoptDecodedCaches hands prev's decoded caches to t after dropping the
@@ -355,13 +279,9 @@ func (t *Tree) SetDecodedCacheCapacity(nodes, pages int) error {
 // reloads its tree from the replicated header after every applied batch;
 // the batch carries every page it changed, so every other cached node and
 // page is still exact, and the reloaded tree keeps serving them instead of
-// reading the store again. A prev with deferred page writes keeps its
-// caches (t starts cold). prev must not be used afterwards. Not safe to
+// reading the store again. prev must not be used afterwards. Not safe to
 // call concurrently with operations on either tree.
 func (t *Tree) AdoptDecodedCaches(prev *Tree, changed []pagestore.Frame) {
-	if prev.dirtyLen.Load() != 0 {
-		return
-	}
 	for _, f := range changed {
 		prev.nc.invalidate(f.ID)
 		prev.pc.invalidate(f.ID)

@@ -14,14 +14,9 @@ import (
 // checkCacheCoherence verifies that every decoded-cache entry agrees
 // byte-for-byte with a fresh decode of its page from the store: the
 // write-through and invalidation discipline must never let a cached object
-// drift from the committed bytes. Deferred in-place inserts are flushed
-// first — a dirty page is *supposed* to be ahead of its bytes, and the
-// invariant under test is that flushing reconciles the two exactly.
+// drift from the stored bytes, on any store.
 func checkCacheCoherence(t *testing.T, tr *Tree) {
 	t.Helper()
-	if err := tr.FlushDirtyPages(); err != nil {
-		t.Fatalf("flushing dirty pages: %v", err)
-	}
 	nbuf := make([]byte, tr.st.PageSize())
 	cbuf := make([]byte, tr.st.PageSize())
 	tr.nc.forEach(func(id pagestore.PageID, n *dirnode.Node) {
@@ -122,13 +117,44 @@ func TestObjCacheEviction(t *testing.T) {
 	}
 }
 
+// coherenceStores are the stores the coherence tests run over: the
+// accounting MemDisk and a FileDisk (on in-memory files), so the one
+// page-write path is checked on both kinds of store.
+var coherenceStores = []struct {
+	name string
+	open func(t *testing.T, prm params.Params) *Tree
+}{
+	{"mem", func(t *testing.T, prm params.Params) *Tree {
+		tr, _ := newTree(t, prm)
+		return tr
+	}},
+	{"file", func(t *testing.T, prm params.Params) *Tree {
+		fd, err := pagestore.CreateFileDiskFiles(pagestore.NewMemFile(), pagestore.NewMemFile(), PageBytes(prm))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := New(fd, prm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}},
+}
+
 // TestDecodedCacheCoherenceInsert checks cache-vs-store agreement through
 // the full growth repertoire: page splits, node doubling, and node split
 // chains (the paper example's parameters force all three), with searches
 // interleaved to keep the caches populated.
 func TestDecodedCacheCoherenceInsert(t *testing.T) {
-	prm := params.Params{Dims: 2, Width: 32, Capacity: 2, Xi: []int{2, 2}}
-	tr, _ := newTree(t, prm)
+	for _, s := range coherenceStores {
+		t.Run(s.name, func(t *testing.T) {
+			prm := params.Params{Dims: 2, Width: 32, Capacity: 2, Xi: []int{2, 2}}
+			testCacheCoherenceInsert(t, s.open(t, prm))
+		})
+	}
+}
+
+func testCacheCoherenceInsert(t *testing.T, tr *Tree) {
 	keys := paperKeys()
 	for i, k := range keys {
 		if err := tr.Insert(k, uint64(i)); err != nil {
@@ -155,8 +181,15 @@ func TestDecodedCacheCoherenceInsert(t *testing.T) {
 // checking coherence after every removal: page merges, node merges, GC
 // sweeps and root collapses must all leave cache and store agreeing.
 func TestDecodedCacheCoherenceDelete(t *testing.T) {
-	prm := params.Params{Dims: 2, Width: 32, Capacity: 2, Xi: []int{2, 2}}
-	tr, _ := newTree(t, prm)
+	for _, s := range coherenceStores {
+		t.Run(s.name, func(t *testing.T) {
+			prm := params.Params{Dims: 2, Width: 32, Capacity: 2, Xi: []int{2, 2}}
+			testCacheCoherenceDelete(t, s.open(t, prm))
+		})
+	}
+}
+
+func testCacheCoherenceDelete(t *testing.T, tr *Tree) {
 	keys := workload.Uniform(2, 7).Take(120)
 	for i, k := range keys {
 		if err := tr.Insert(k, uint64(i)); err != nil && err != ErrDuplicate {
@@ -190,7 +223,7 @@ func TestDecodedCacheCoherenceDelete(t *testing.T) {
 func TestDecodedCacheDisabled(t *testing.T) {
 	prm := params.Params{Dims: 2, Width: 32, Capacity: 2, Xi: []int{2, 2}}
 	tr, _ := newTree(t, prm)
-	tr.SetDecodedCacheCapacity(0, 0)
+	tr.setDecodedCacheCapacity(0, 0)
 	keys := paperKeys()
 	for i, k := range keys {
 		if err := tr.Insert(k, uint64(i)); err != nil {

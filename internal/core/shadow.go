@@ -86,23 +86,10 @@ func (sh *shadowCtx) target(id pagestore.PageID) pagestore.PageID {
 	return id
 }
 
-// EnableCOW switches the tree to the copy-on-write write mode. The queue
-// of deferred in-place page writes is flushed first — COW never drains it
-// afterwards. The switch is one-way and must happen before the tree is
-// shared with concurrent users (like params, the write mode is a property
-// set at open time).
-func (t *Tree) EnableCOW() error {
-	t.wgate.Lock()
-	defer t.wgate.Unlock()
-	if t.cow {
-		return nil
-	}
-	if err := t.FlushDirtyPages(); err != nil {
-		return err
-	}
-	t.cow = true
-	return nil
-}
+// EnableCOW switches the tree to the copy-on-write write mode. The switch
+// is one-way and must happen before the tree is shared with concurrent
+// users (like params, the write mode is a property set at open time).
+func (t *Tree) EnableCOW() { t.cow = true }
 
 // COWEnabled reports whether the tree is in the copy-on-write write mode.
 func (t *Tree) COWEnabled() bool { return t.cow }

@@ -107,13 +107,6 @@ type Tree struct {
 	pageEpoch atomic.Uint64
 	// latches maps PageIDs to their per-node/per-page latches.
 	latches latchTable
-	// Deferred write-back of in-place page inserts (see flushdirty.go):
-	// dirtyMu guards dirtyIDs, the queue of pages whose decoded object is
-	// ahead of its bytes; dirtyLen mirrors len(dirtyIDs) so the hot path
-	// can test the high-water mark without the mutex.
-	dirtyMu  sync.Mutex
-	dirtyIDs []pagestore.PageID
-	dirtyLen atomic.Int64
 
 	// Copy-on-write write mode (see shadow.go). cow is set once by
 	// EnableCOW before the tree is shared; sh is non-nil exactly while a

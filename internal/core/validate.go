@@ -115,14 +115,9 @@ func (t *Tree) Validate() error {
 		return nil
 	}
 	// Validation needs a globally consistent snapshot including exact
-	// record counts, so it stops all writers for its duration. It checks
-	// page *bytes*, so deferred in-place inserts must flush first — which
-	// also makes every Validate vouch for the flusher itself.
+	// record counts, so it stops all writers for its duration.
 	t.wgate.Lock()
 	defer t.wgate.Unlock()
-	if err := t.FlushDirtyPages(); err != nil {
-		return err
-	}
 	strip := make([]int, t.prm.Dims)
 	prefix := make(bitkey.Vector, t.prm.Dims)
 	root := t.rc.load()

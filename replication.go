@@ -48,8 +48,8 @@ func (ix *Index) SetReplPublisher(fn func(seq uint64, frames []pagestore.Frame))
 
 // ReplSnapshot streams a consistent full-store image to fn and returns
 // the commit sequence and page count it belongs to. The index is synced
-// first — deferred page images and the header both reach the store — so
-// the image is exactly what a fresh Open of the file would see. The
+// first — the header is committed with the pages already in the store —
+// so the image is exactly what a fresh Open of the file would see. The
 // index is locked exclusively for the duration: the snapshot is a
 // consistent cut of the commit stream.
 func (ix *Index) ReplSnapshot(fn func(id pagestore.PageID, kind pagestore.Kind, data []byte) error) (seq uint64, pageCount uint32, err error) {
@@ -62,8 +62,7 @@ func (ix *Index) ReplSnapshot(fn func(id pagestore.PageID, kind pagestore.Kind, 
 		ix.mu.Unlock()
 		return 0, 0, ErrNotReplicable
 	}
-	// Under WriteModeCOW the exclusive hold shrinks to the flush + meta
-	// staging: a pinned tree snapshot keeps every page the staged header
+	// Under WriteModeCOW the exclusive hold shrinks to the meta staging: a pinned tree snapshot keeps every page the staged header
 	// references alive until the store-level stream (itself atomic under
 	// the store lock) has committed and copied them, so the page loop runs
 	// without ix.mu held exclusively and index reads proceed throughout.
@@ -73,9 +72,6 @@ func (ix *Index) ReplSnapshot(fn func(id pagestore.PageID, kind pagestore.Kind, 
 	// snapshot, exactly as the latched path's post-snapshot commits are.
 	if tr, ok := ix.idx.(*core.Tree); ok && tr.COWEnabled() {
 		snap, err := tr.Snapshot()
-		if err == nil {
-			err = tr.FlushDirtyPages()
-		}
 		if err == nil {
 			var rec []byte
 			if rec, err = snap.MarshalMeta(); err == nil {

@@ -112,16 +112,6 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	if ix.file == nil {
 		return 0, fmt.Errorf("bmeh: snapshot backup requires a file-backed index")
 	}
-	// The snapshot's pages are immutable, but their bytes may still sit in
-	// the decoded-page write-back queue above the store; push them down so
-	// the store-level stream reads current images. The flush is
-	// concurrency-safe, and a pinned page cannot be re-dirtied after it
-	// (committed pages are never rewritten under COW).
-	if tr, ok := ix.idx.(*core.Tree); ok {
-		if err := tr.FlushDirtyPages(); err != nil {
-			return 0, err
-		}
-	}
 	ids, err := s.ts.ReachableIDs()
 	if err != nil {
 		return 0, err
