@@ -322,3 +322,117 @@ func TestAsyncPipelineDepth(t *testing.T) {
 		}
 	}
 }
+
+// stuckKeyListener answers every GET with NotFound except a GET for
+// stuck, which it reads and never answers — while it keeps answering the
+// requests pipelined behind it.
+func stuckKeyListener(t *testing.T, stuck bmeh.Key) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(nc net.Conn) {
+				defer nc.Close()
+				r := wire.NewReader(bufio.NewReader(nc), 0)
+				for {
+					fr, err := r.Next()
+					if err != nil {
+						return
+					}
+					if key, err := wire.DecodeGetReq(fr.Payload); err == nil && key[0] == stuck[0] && key[1] == stuck[1] {
+						continue
+					}
+					resp := wire.AppendFrame(nil, wire.Frame{
+						Op: fr.Op.Response(), ID: fr.ID,
+						Payload: wire.AppendStatus(nil, wire.StatusNotFound, ""),
+					})
+					if _, err := nc.Write(resp); err != nil {
+						return
+					}
+				}
+			}(nc)
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestRequestTimeoutUnderTraffic: one request the server never answers
+// fails with a *ConnError within a few RequestTimeouts even though the
+// connection never goes quiet — the deadline belongs to the call, not to
+// an idle connection.
+func TestRequestTimeoutUnderTraffic(t *testing.T) {
+	const timeout = 250 * time.Millisecond
+	stuck := bmeh.Key{7, 7}
+	cl, err := client.Dial(stuckKeyListener(t, stuck), client.Options{
+		PoolSize: 1, Retries: 0, RequestTimeout: timeout,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	stop := make(chan struct{})
+	defer close(stop)
+	for g := 0; g < 4; g++ {
+		go func() {
+			for i := uint64(0); ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				cl.Get(bmeh.Key{1, i}) // fails once the stuck call tears the connection down
+			}
+		}()
+	}
+	call := cl.GetAsync(stuck)
+	select {
+	case <-call.Done():
+	case <-time.After(3 * timeout):
+		t.Fatalf("unanswered GET still pending after %v", 3*timeout)
+	}
+	var ce *client.ConnError
+	if !errors.As(call.Err, &ce) {
+		t.Fatalf("unanswered GET: %v, want *ConnError", call.Err)
+	}
+}
+
+// TestSteadyPipelineNoSpuriousTimeout: fast calls kept in flight for five
+// RequestTimeouts all succeed — the connection's one deadline timer
+// re-bases on the earliest call still pending instead of firing for
+// calls that already completed.
+func TestSteadyPipelineNoSpuriousTimeout(t *testing.T) {
+	const timeout = 250 * time.Millisecond
+	_, ix, addr, _ := newServer(t)
+	if err := ix.Insert(bmeh.Key{1, 2}, 3); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := client.Dial(addr, client.Options{PoolSize: 1, Retries: 0, RequestTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	end := time.Now().Add(5 * timeout)
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		go func() {
+			var err error
+			for err == nil && time.Now().Before(end) {
+				_, _, err = cl.Get(bmeh.Key{1, 2})
+			}
+			errs <- err
+		}()
+	}
+	for g := 0; g < 8; g++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("steady pipeline: %v", err)
+		}
+	}
+}

@@ -37,7 +37,9 @@ type Router struct {
 	dims  int
 	width int
 
-	cmu     sync.Mutex
+	// cmu guards clients. Routed operations only read the map (RLock);
+	// dialing a missing shard client and Close take the write lock.
+	cmu     sync.RWMutex
 	clients map[string]*Client // keyed by shard primary address
 
 	closed atomic.Bool
@@ -126,6 +128,12 @@ func (r *Router) shardClient(m *cluster.Map, i int) (*Client, error) {
 		return nil, ErrClosed
 	}
 	node := m.Shards[i]
+	r.cmu.RLock()
+	cl, ok := r.clients[node.Primary]
+	r.cmu.RUnlock()
+	if ok {
+		return cl, nil
+	}
 	r.cmu.Lock()
 	defer r.cmu.Unlock()
 	if r.clients == nil {
@@ -182,12 +190,9 @@ func (r *Router) RefreshMap() uint64 {
 // client when the address maps to one, dialing a throwaway connection
 // otherwise (seed nodes need not be in the map).
 func (r *Router) fetchMap(addr string) (*cluster.Map, error) {
-	r.cmu.Lock()
-	cl := (*Client)(nil)
-	if r.clients != nil {
-		cl = r.clients[addr]
-	}
-	r.cmu.Unlock()
+	r.cmu.RLock()
+	cl := r.clients[addr]
+	r.cmu.RUnlock()
 	if cl != nil {
 		return cl.ShardMap()
 	}

@@ -1,17 +1,19 @@
 // Package server serves a bmeh.Index over TCP using the wire protocol.
 //
 // Each accepted connection gets one reader goroutine (decode, dispatch)
-// and one writer goroutine (encode, flush); responses travel through a
-// per-connection channel, carry the request's ID, and may complete out
-// of order, so clients can pipeline. Cheap read-side operations (GET,
-// DEL, RANGE, STATS) are answered inline by the reader — they ride the
-// index's latch-free lookup path and keep its zero-allocation descent
-// hot. Operations that end in a commit (PUT, BATCH, SYNC) are completed
-// asynchronously: they funnel from every connection into one write queue
-// (see coalesce.go), which batches them into shared commits so fsyncs
-// are amortized across clients, and their responses are sent when the
-// shared batch commits. DEL is answered inline, before it is durable: it
-// reaches the WAL with the next commit.
+// and one writer goroutine; responses are encoded by whoever produces
+// them, travel through a per-connection channel, carry the request's ID,
+// and may complete out of order, so clients can pipeline. The writer
+// sends whatever is queued when it wakes as one write (see writeLoop),
+// so a pipelined burst of responses costs a few syscalls, not one each.
+// Cheap read-side operations (GET, DEL, RANGE, STATS) are answered inline
+// by the reader — they ride the index's latch-free lookup path and keep
+// its zero-allocation descent hot. Operations that end in a commit (PUT,
+// BATCH, SYNC) are completed asynchronously: they funnel from every
+// connection into one write queue (see coalesce.go), which batches them
+// into shared commits so fsyncs are amortized across clients, and their
+// responses are sent when the shared batch commits. DEL is answered
+// inline, before it is durable: it reaches the WAL with the next commit.
 //
 // Ordering model: an acknowledged write is visible to every request the
 // server decodes after the acknowledgment was sent. Within one
@@ -225,7 +227,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		c := &conn{
 			srv:        s,
 			nc:         nc,
-			out:        make(chan []byte, 128),
+			out:        make(chan *[]byte, 128),
 			writerDone: make(chan struct{}),
 		}
 		s.mu.Lock()
@@ -330,11 +332,16 @@ func (s *Server) rejectBusy(nc net.Conn) {
 type conn struct {
 	srv *Server
 	nc  net.Conn
-	// out carries encoded response frames to the writer goroutine. The
+	// out carries encoded response frames to the writer goroutine, which
+	// coalesces whatever is queued into one write (see writeLoop). The
 	// writer drains it until it is closed — even after a write error —
 	// so completion callbacks can never block forever.
-	out        chan []byte
+	out        chan *[]byte
 	writerDone chan struct{}
+	// wbuf is the writer's batch buffer, owned by writeLoop: allocated at
+	// writeBatchBytes the first time two frames are found queued, never
+	// grown past it.
+	wbuf []byte
 	// pending counts requests whose response is not yet queued on out
 	// (PUT/BATCH/SYNC awaiting their commit, plus the replication
 	// streamer).
@@ -348,7 +355,8 @@ type conn struct {
 	replSub *repl.Sub
 }
 
-// bufPool recycles frame encode buffers across connections.
+// bufPool recycles frame encode buffers across connections; the writer
+// drops a buffer above writeBatchBytes rather than pool it.
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 func (c *conn) run() {
@@ -388,28 +396,72 @@ func (c *conn) readLoop() {
 	}
 }
 
+// writeBatchBytes caps one writer batch: the writer copies queued frames
+// into its batch buffer up to this many bytes, so a connection never
+// holds a larger write buffer. A frame at or above the cap (a replication
+// snapshot chunk, a large RANGE answer) is written as it is, not copied.
+const writeBatchBytes = 64 << 10
+
+// writeLoop sends queued frames. After taking a frame it drains whatever
+// else is already queued, without blocking, into one batch of at most
+// writeBatchBytes, and writes the batch under one deadline with one
+// Write: a pipelining client's responses leave in a few syscalls, not one
+// per frame. A frame found alone is written straight from its buffer.
 func (c *conn) writeLoop() {
 	defer close(c.writerDone)
 	var err error
-	for buf := range c.out {
-		if err == nil {
-			c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
-			if _, err = c.nc.Write(buf); err != nil {
-				// Keep draining so queued completions never block; the
-				// connection is torn down by run().
-				c.nc.Close()
-			}
+	write := func(b []byte) {
+		if err != nil {
+			return
 		}
-		b := buf[:0]
-		bufPool.Put(&b)
+		c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
+		if _, err = c.nc.Write(b); err != nil {
+			// Keep draining so queued completions never block; the
+			// connection is torn down by run().
+			c.nc.Close()
+		}
+	}
+	flush := func() {
+		if len(c.wbuf) > 0 {
+			write(c.wbuf)
+			c.wbuf = c.wbuf[:0]
+		}
+	}
+	for bp := range c.out {
+		for bp != nil {
+			buf := *bp
+			var next *[]byte
+			select {
+			case next = <-c.out: // nil once out is closed
+			default:
+			}
+			if len(buf) >= writeBatchBytes || (next == nil && len(c.wbuf) == 0) {
+				// Too large to copy, or alone: sent from its own buffer.
+				flush()
+				write(buf)
+			} else {
+				if len(c.wbuf)+len(buf) > writeBatchBytes {
+					flush()
+				}
+				if c.wbuf == nil {
+					c.wbuf = make([]byte, 0, writeBatchBytes)
+				}
+				c.wbuf = append(c.wbuf, buf...)
+			}
+			if cap(buf) <= writeBatchBytes {
+				bufPool.Put(bp)
+			}
+			bp = next
+		}
+		flush()
 	}
 }
 
 // send encodes a response frame and queues it for the writer.
 func (c *conn) send(op wire.Op, id uint64, payload []byte) {
 	bp := bufPool.Get().(*[]byte)
-	buf := wire.AppendFrame((*bp)[:0], wire.Frame{Op: op.Response(), ID: id, Payload: payload})
-	c.out <- buf
+	*bp = wire.AppendFrame((*bp)[:0], wire.Frame{Op: op.Response(), ID: id, Payload: payload})
+	c.out <- bp
 }
 
 // sendStatus queues a bare status (or error-message) response.
