@@ -47,6 +47,17 @@ func TestClusterBasic(t *testing.T) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
+	// Routed reads prefer a replica, which applies its primary's commits
+	// asynchronously: a read racing the last commit's delivery may miss
+	// it. Wait until every replica has applied its primary's last commit.
+	for i, sh := range c.shards {
+		seq := sh.primary.ix.ReplCommitSeq()
+		for _, rp := range sh.replicas {
+			if !rp.rep.AwaitSeq(seq, 10*time.Second) {
+				t.Fatalf("shard %d: replica never applied commit %d", i, seq)
+			}
+		}
+	}
 	for i, k := range keys {
 		v, ok, err := r.Get(k)
 		if err != nil || !ok || v != uint64(i) {
