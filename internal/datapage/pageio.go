@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"bmeh/internal/bitkey"
 	"bmeh/internal/pagestore"
 )
 
@@ -14,8 +15,9 @@ import (
 // Over a store that serves zero-copy slices (pagestore.SliceReader — a
 // file store with a read view), Read decodes straight out of the store's
 // memory with no page copy. That is safe because Decode fully copies
-// every record out of the raw bytes, and because the owning index never
-// commits (rewriting mapped slots) while a reader is decoding.
+// every record out of the raw bytes, Lookup copies out the one value it
+// finds, and the owning index never commits (rewriting mapped slots)
+// while a reader is reading.
 type IO struct {
 	st  pagestore.Store
 	sr  pagestore.SliceReader // non-nil: the zero-copy read path
@@ -37,21 +39,47 @@ func NewIO(st pagestore.Store, d int) *IO {
 func (io *IO) Read(id pagestore.PageID) (*Page, error) {
 	bp := io.buf.Get().(*[]byte)
 	defer io.buf.Put(bp)
-	page := *bp
-	var err error
-	if io.sr != nil {
-		page, err = io.sr.ReadSlice(id, page)
-	} else {
-		err = io.st.Read(id, page)
-	}
+	page, err := io.page(id, *bp)
 	if err != nil {
-		return nil, fmt.Errorf("datapage: reading page %d: %w", id, err)
+		return nil, err
 	}
 	p, err := Decode(page, io.d)
 	if err != nil {
 		return nil, fmt.Errorf("datapage: decoding page %d: %w", id, err)
 	}
 	return p, nil
+}
+
+// Lookup fetches the data page stored in page id (one disk read) and runs
+// Lookup on its image: the records are searched in place, in the store's
+// memory or the pooled copy, so a successful call allocates nothing.
+func (io *IO) Lookup(id pagestore.PageID, key bitkey.Vector) (uint64, bool, error) {
+	bp := io.buf.Get().(*[]byte)
+	defer io.buf.Put(bp)
+	page, err := io.page(id, *bp)
+	if err != nil {
+		return 0, false, err
+	}
+	v, ok, err := Lookup(page, key)
+	if err != nil {
+		return 0, false, fmt.Errorf("datapage: searching page %d: %w", id, err)
+	}
+	return v, ok, nil
+}
+
+// page reads page id: the store's zero-copy window onto it, or buf (one
+// page) holding a copy.
+func (io *IO) page(id pagestore.PageID, buf []byte) ([]byte, error) {
+	var err error
+	if io.sr != nil {
+		buf, err = io.sr.ReadSlice(id, buf)
+	} else {
+		err = io.st.Read(id, buf)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("datapage: reading page %d: %w", id, err)
+	}
+	return buf, nil
 }
 
 // Write encodes and stores the page into page id (one disk write).

@@ -3,6 +3,8 @@ package dirnode
 import (
 	"math/rand"
 	"testing"
+
+	"bmeh/internal/bitkey"
 )
 
 // FuzzDecode hardens the node codec against arbitrary page images: Decode
@@ -35,6 +37,77 @@ func FuzzDecode(f *testing.F) {
 		for q := 0; q < n.Size(); q++ {
 			if got := n.Index(n.Tuple(q)); got != q {
 				t.Fatalf("Index(Tuple(%d)) = %d", q, got)
+			}
+		}
+	})
+}
+
+// FuzzRoute hardens the in-place element read against arbitrary node
+// images: Route must return an error or an element, never panic or read
+// out of bounds. Wherever Decode rejects the image Route must too, and
+// wherever Decode accepts it Route must either reject a global depth
+// H_j > ξ_j or return exactly the element Decode + Index select for the
+// fuzzed key.
+func FuzzRoute(f *testing.F) {
+	for _, d := range []int{1, 2, 3} {
+		n := randomNode(rand.New(rand.NewSource(int64(d))), d)
+		buf := make([]byte, HeaderSize(d)+n.Size()*EntrySize(d))
+		if _, err := n.Encode(buf); err != nil {
+			f.Fatal(err)
+		}
+		for _, key := range []uint64{0, 0x9e3779b97f4a7c15, ^uint64(0)} {
+			f.Add(buf, d-1, key) // the fuzz body maps dRaw to dRaw%8+1
+		}
+	}
+	f.Add([]byte{3, 40, 40}, 1, uint64(0)) // ΣH_j > 30
+	deep := make([]byte, HeaderSize(1)+512*EntrySize(1))
+	deep[0], deep[1] = 1, 9
+	f.Add(deep, 0, uint64(1))                  // H_1 = 9 > ξ_1, entries fit
+	f.Add([]byte{1, 2, 2, 0, 0}, 1, uint64(2)) // entries overflow the page
+	f.Add([]byte{}, 1, uint64(0))
+	const width = 16
+	f.Fuzz(func(t *testing.T, data []byte, dRaw int, key uint64) {
+		d := dRaw%8 + 1
+		if d < 1 {
+			d = 1
+		}
+		xi := make([]int, d)
+		v := make(bitkey.Vector, d)
+		for j := range v {
+			xi[j] = 8
+			v[j] = bitkey.Component((key >> uint(5*j)) & (1<<width - 1))
+		}
+		h := make([]int, d)
+		ptr, isNode, err := Route(data, v, width, xi, h)
+		n, derr := Decode(data, d)
+		if derr != nil {
+			if err == nil {
+				t.Fatalf("Route accepted an image Decode rejects (%v)", derr)
+			}
+			return
+		}
+		for j, hj := range n.Depths {
+			if hj > xi[j] {
+				if err == nil {
+					t.Fatalf("Route accepted H_%d = %d > ξ = %d", j+1, hj, xi[j])
+				}
+				return
+			}
+		}
+		if err != nil {
+			t.Fatalf("Route rejected an image Decode accepts: %v", err)
+		}
+		idx := make([]uint64, d)
+		for j := range idx {
+			idx[j] = bitkey.G(v[j], n.Depths[j], width)
+		}
+		e := n.Entries[n.Index(idx)]
+		if ptr != e.Ptr || isNode != e.IsNode {
+			t.Fatalf("Route = (%d, %v), Decode+Index = (%d, %v)", ptr, isNode, e.Ptr, e.IsNode)
+		}
+		for j := range h {
+			if h[j] != e.H[j] {
+				t.Fatalf("Route h = %v, Decode+Index h = %v", h, e.H)
 			}
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"bmeh/internal/bitkey"
 	"bmeh/internal/pagestore"
 )
 
@@ -14,7 +15,8 @@ import (
 // Over a store that serves zero-copy slices (pagestore.SliceReader — a
 // file store with a read view), Read decodes straight out of the store's
 // memory with no page copy; Decode fully copies every entry out of the
-// raw bytes, so nothing retains the slice past the call.
+// raw bytes, and Route copies out the one element it reads, so nothing
+// retains the slice past the call.
 type IO struct {
 	st  pagestore.Store
 	sr  pagestore.SliceReader // non-nil: the zero-copy read path
@@ -36,21 +38,48 @@ func NewIO(st pagestore.Store, d int) *IO {
 func (io *IO) Read(id pagestore.PageID) (*Node, error) {
 	bp := io.buf.Get().(*[]byte)
 	defer io.buf.Put(bp)
-	page := *bp
-	var err error
-	if io.sr != nil {
-		page, err = io.sr.ReadSlice(id, page)
-	} else {
-		err = io.st.Read(id, page)
-	}
+	page, err := io.page(id, *bp)
 	if err != nil {
-		return nil, fmt.Errorf("dirnode: reading node page %d: %w", id, err)
+		return nil, err
 	}
 	n, err := Decode(page, io.d)
 	if err != nil {
 		return nil, fmt.Errorf("dirnode: decoding node page %d: %w", id, err)
 	}
 	return n, nil
+}
+
+// Route fetches the node stored in page id (one disk read) and runs Route
+// on its image for the shifted key v: the element is read in place, out
+// of the store's memory or the pooled copy, so a successful call
+// allocates nothing.
+func (io *IO) Route(id pagestore.PageID, v bitkey.Vector, width int, xi, h []int) (pagestore.PageID, bool, error) {
+	bp := io.buf.Get().(*[]byte)
+	defer io.buf.Put(bp)
+	page, err := io.page(id, *bp)
+	if err != nil {
+		return pagestore.NilPage, false, err
+	}
+	ptr, isNode, err := Route(page, v, width, xi, h)
+	if err != nil {
+		return pagestore.NilPage, false, fmt.Errorf("dirnode: routing through node page %d: %w", id, err)
+	}
+	return ptr, isNode, nil
+}
+
+// page reads page id: the store's zero-copy window onto it, or buf (one
+// page) holding a copy.
+func (io *IO) page(id pagestore.PageID, buf []byte) ([]byte, error) {
+	var err error
+	if io.sr != nil {
+		buf, err = io.sr.ReadSlice(id, buf)
+	} else {
+		err = io.st.Read(id, buf)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("dirnode: reading node page %d: %w", id, err)
+	}
+	return buf, nil
 }
 
 // Write encodes and stores the node into page id (one disk write).
