@@ -43,15 +43,17 @@ func DecodeEntry(buf []byte, d int) (Entry, error) {
 	if len(buf) < EntrySize(d) {
 		return Entry{}, fmt.Errorf("dirnode: entry buffer %d bytes < %d", len(buf), EntrySize(d))
 	}
-	p := binary.BigEndian.Uint32(buf[0:4])
-	e := Entry{
-		Ptr:    pagestore.PageID(p &^ nodeFlag),
-		IsNode: p&nodeFlag != 0,
-		H:      make([]int, d),
-		M:      int(buf[4+d]),
-	}
+	e := Entry{H: make([]int, d), M: int(buf[4+d])}
+	e.Ptr, e.IsNode = decodePtr(buf)
 	for j := 0; j < d; j++ {
 		e.H[j] = int(buf[4+j])
 	}
 	return e, nil
+}
+
+// decodePtr parses the pointer field at the start of an encoded element:
+// the page id and whether it refers to a directory node.
+func decodePtr(buf []byte) (pagestore.PageID, bool) {
+	p := binary.BigEndian.Uint32(buf[0:4])
+	return pagestore.PageID(p &^ nodeFlag), p&nodeFlag != 0
 }
