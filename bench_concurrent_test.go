@@ -131,19 +131,6 @@ func BenchmarkParallelInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkInsertParallel is the write-path acceptance benchmark for the
-// decomposed index lock: aggregate insert throughput must scale with
-// goroutines where the old global write lock held it flat. Same workload
-// as BenchmarkParallelInsert, named separately so the record tracks the
-// write path specifically.
-func BenchmarkInsertParallel(b *testing.B) {
-	for _, g := range benchGoroutineCounts {
-		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
-			benchParallelInsertAt(b, g)
-		})
-	}
-}
-
 // BenchmarkParallelMixed measures a 90% read / 10% insert mix on a warm
 // cache.
 func BenchmarkParallelMixed(b *testing.B) {

@@ -175,7 +175,6 @@ func (t *Tree) BulkLoad(next func() (bitkey.Vector, uint64, bool, error), opts B
 		// and bump before retiring, so a concurrent Snapshot.Close cannot
 		// reclaim pages still published to readers (see shadow.go).
 		t.structMu.Lock()
-		rootNode.Latch = t.latches.of(rootID)
 		newEpoch := t.rc.load().epoch + 1
 		t.rc.installAt(rootID, rootNode, newEpoch, run.n)
 		t.structVer.Add(1)
@@ -191,7 +190,6 @@ func (t *Tree) BulkLoad(next func() (bitkey.Vector, uint64, bool, error), opts B
 		return stats, t.tryReclaim()
 	}
 	t.structMu.Lock()
-	rootNode.Latch = t.latches.of(rootID)
 	t.installRoot(rootID, rootNode)
 	t.nNodes.Store(bb.nodes.Load())
 	t.n.Store(run.n)

@@ -39,20 +39,20 @@ func (t *Tree) splitSafe(n *dirnode.Node) bool {
 
 // Insert stores (k, v). It returns ErrDuplicate if the key is present.
 // After any restructuring (page split, node expansion, node split chain)
-// the insertion re-enters from the root, as the paper's algorithm does.
+// the insertion re-enters from the root, as the paper's algorithm does:
+// each attempt is one tryInsert descent, so the path is read once per
+// descent and ρ counts exactly the paper's accesses.
 //
 // Concurrency: the whole insertion runs under the writer gate's read side,
-// so inserts in disjoint subtrees proceed in parallel. The common case —
-// the leaf page has room — completes on a fast path holding only shared
-// interior latches plus the exclusive leaf-page latch, so concurrent
-// inserters pass each other everywhere except on the very page they both
-// target. When the fast path finds a full page (or a region that needs
-// materializing) it backs off and the insertion re-descends crabbing
+// so inserts in disjoint subtrees proceed in parallel. The descent crabs
 // exclusive per-node latches, releasing all ancestors once the child it
-// moved to is split-safe. When a full page forces restructuring the descent
-// try-acquires structMu with its latches held; if another writer is mid-
-// restructure it releases everything, waits, and re-descends — so no writer
-// ever hold-and-waits on structMu and the latch order stays acyclic.
+// moved to is split-safe; concurrent inserters therefore serialize from the
+// deepest node on their path that is not split-safe down to their page. A
+// page with room commits in place under its exclusive latch. When a full
+// page forces restructuring the descent try-acquires structMu with its
+// latches held; if another writer is mid-restructure it releases
+// everything, waits, and re-descends — so no writer ever hold-and-waits on
+// structMu and the latch order stays acyclic.
 func (t *Tree) Insert(k bitkey.Vector, v uint64) error {
 	if err := t.checkKey(k); err != nil {
 		return err
@@ -62,9 +62,6 @@ func (t *Tree) Insert(k bitkey.Vector, v uint64) error {
 	}
 	t.wgate.RLock()
 	defer t.wgate.RUnlock()
-	if done, err := t.insertFast(k, v); done {
-		return err
-	}
 	structural := false
 	defer func() {
 		if structural {
@@ -81,87 +78,6 @@ func (t *Tree) Insert(k bitkey.Vector, v uint64) error {
 	return fmt.Errorf("bmeh: insertion did not converge after %d restructurings", maxRestructures)
 }
 
-// insertFast attempts the insertion without excluding other writers from
-// the path: interior latches are taken shared (crabbing — each ancestor is
-// released as soon as the child is latched), and only the leaf's page latch
-// is exclusive. It can complete exactly the cases that mutate nothing but
-// the data page: an in-place insert into a page with room, or a duplicate.
-// Anything structural — a full page, a nil region to materialize — returns
-// done=false untouched, and the caller re-descends with exclusive latches.
-//
-// Safety: holding a node's latch (even shared) pins its decoded identity
-// and its entries — every path that rewrites a node or frees its referents
-// holds that node's latch exclusively (restructure keeps descent latches;
-// the escalated delete holds the writer gate exclusively). So the leaf
-// entry's page cannot be freed or replaced between reading the leaf node
-// and latching the page.
-func (t *Tree) insertFast(k bitkey.Vector, v uint64) (done bool, err error) {
-	d := t.prm.Dims
-	dc := t.getDescent(k)
-	defer t.putDescent(dc)
-	ls := &dc.ls
-	defer ls.releaseAll()
-	vec := dc.v
-	// Root handshake, shared mode (see tryInsert for the ABA argument).
-	var node *dirnode.Node
-	for {
-		r := t.rc.load()
-		ls.rlock(r.pageID, r.node.Level)
-		if t.rc.load() == r {
-			node = r.node
-			break
-		}
-		ls.releaseAll()
-	}
-	for {
-		q := t.nodeIndexInto(node, vec, dc.idx)
-		e := node.Entries[q]
-		if e.Ptr == pagestore.NilPage {
-			return false, nil // empty region: materializing rewrites nodes
-		}
-		if e.IsNode {
-			for j := 0; j < d; j++ {
-				vec[j] = bitkey.LeftShift(vec[j], e.H[j], t.prm.Width)
-			}
-			ls.rlock(e.Ptr, node.Level-1)
-			child, err := t.readNode(e.Ptr)
-			if err != nil {
-				return true, err
-			}
-			ls.releaseAllExcept(e.Ptr)
-			node = child
-			continue
-		}
-		ls.lock(e.Ptr, 0) // page latch exclusive, same order as tryInsert
-		p, err := t.readPage(e.Ptr)
-		if err != nil {
-			return true, err
-		}
-		i, dup := p.Find(k)
-		if dup {
-			return true, ErrDuplicate
-		}
-		if p.Len() >= t.prm.Capacity {
-			return false, nil // full: split under the exclusive crab
-		}
-		// In-place commit: the exclusive page latch makes this writer the
-		// sole user of the decoded object (every concurrent reader of a
-		// data page holds its shared latch), so the record goes straight
-		// into the cached page at the position Find already computed — no
-		// clone, no second search — and writePage then stores it: one page
-		// write per insert, the paper's §4 cost. If the store write fails
-		// the mutated object is dropped from the cache before the latch is
-		// released, so the next decode restores the committed state.
-		p.InsertAt(i, datapage.Record{Key: k.Clone(), Value: v})
-		if err := t.writePage(e.Ptr, p); err != nil {
-			t.pc.invalidate(e.Ptr)
-			return true, err
-		}
-		t.n.Add(1)
-		return true, nil
-	}
-}
-
 // tryInsert descends once. It either completes the insertion (true) or
 // performs one restructuring step and asks to be re-run (false). Latches
 // acquired during the descent are released when it returns; structMu, once
@@ -175,7 +91,6 @@ func (t *Tree) tryInsert(k bitkey.Vector, v uint64, structural *bool) (bool, err
 	defer ls.releaseAll()
 	vec := dc.v
 	strip := dc.strip // bits stripped per dimension before current node
-	var stack []frame
 	// Root handshake: latch what we believe is the root, then confirm it
 	// still is. Every root install or update stores a fresh rootRef, so the
 	// pointer comparison cannot be fooled by a replace-and-restore (ABA).
@@ -200,7 +115,7 @@ func (t *Tree) tryInsert(k bitkey.Vector, v uint64, structural *bool) (bool, err
 		q := t.nodeIndexInto(node, vec, dc.idx)
 		e := &node.Entries[q]
 		if e.Ptr != pagestore.NilPage && e.IsNode {
-			stack = append(stack, frame{id: id, node: node, strip: append([]int(nil), strip...)})
+			dc.push(id, node, strip)
 			for j := 0; j < d; j++ {
 				strip[j] += e.H[j]
 				vec[j] = bitkey.LeftShift(vec[j], e.H[j], t.prm.Width)
@@ -282,20 +197,43 @@ func (t *Tree) tryInsert(k bitkey.Vector, v uint64, structural *bool) (bool, err
 			return true, nil
 		}
 		ls.lock(e.Ptr, 0) // page latch, rank 0
-		p, err := t.readPageMut(e.Ptr)
+		// Latched mode works on the shared cached page: the exclusive page
+		// latch makes this writer its sole user, since every concurrent
+		// reader of a data page holds its shared latch. A COW shadow must
+		// leave committed images to snapshot readers, so it takes a
+		// private copy.
+		var p *datapage.Page
+		var err error
+		if t.sh == nil {
+			p, err = t.readPage(e.Ptr)
+		} else {
+			p, err = t.readPageMut(e.Ptr)
+		}
 		if err != nil {
 			return false, err
 		}
-		if _, dup := p.Get(k); dup {
+		i, dup := p.Find(k)
+		if dup {
 			return false, ErrDuplicate
 		}
 		if p.Len() < t.prm.Capacity {
-			p.Insert(datapage.Record{Key: k.Clone(), Value: v})
+			// Commit at the position Find computed, with no clone and no
+			// second search: one page write per insert, the paper's §4
+			// cost. If the store write fails the mutated object is dropped
+			// from the cache before the latch is released, so the next
+			// decode restores the committed state.
+			p.InsertAt(i, datapage.Record{Key: k.Clone(), Value: v})
 			if err := t.writePage(e.Ptr, p); err != nil {
+				t.pc.invalidate(e.Ptr)
 				return false, err
 			}
 			t.n.Add(1)
 			return true, nil
+		}
+		if t.sh == nil {
+			// restructure partitions p; the cached image stays the
+			// committed one until the split commits.
+			p = p.Clone()
 		}
 		// The page is full: restructuring frees pages, which concurrent
 		// structure-sensitive readers (Range, the Search fallback) and other
@@ -315,7 +253,7 @@ func (t *Tree) tryInsert(k bitkey.Vector, v uint64, structural *bool) (bool, err
 				return false, nil
 			}
 		}
-		return false, t.restructure(ls, stack, id, node, q, strip, p)
+		return false, t.restructure(ls, dc.stack, id, node, q, strip, p)
 	}
 }
 
@@ -530,7 +468,6 @@ func (t *Tree) newRoot(m int, a, b pagestore.PageID, level int) error {
 	if err != nil {
 		return err
 	}
-	root.Latch = t.latches.of(rid)
 	if err := t.nodes.Write(rid, root); err != nil {
 		return err
 	}

@@ -13,9 +13,9 @@ package core
 //     readPageMut) and the cache is updated write-through only after the
 //     page write committed (writeNode, writePage), so a storage fault
 //     leaves cache, memory and disk agreeing on the previous state;
-//   - the insert fast path is the one in-place exception: under the
-//     page's exclusive latch it mutates the cached data page directly and
-//     writes it through, dropping the entry if the store write fails —
+//   - an insert into a data page with room is the one in-place exception:
+//     under the page's exclusive latch it mutates the cached page directly
+//     and writes it through, dropping the entry if the store write fails —
 //     the next decode then restores the committed state;
 //   - freeing a page invalidates its entry before the store free, so a
 //     recycled PageID can never resurrect a stale decoded image;

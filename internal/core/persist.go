@@ -190,7 +190,6 @@ func Load(st pagestore.Store, meta []byte) (*Tree, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bmeh: reading root node: %w", err)
 	}
-	root.Latch = t.latches.of(rootID)
 	t.rc.installAt(rootID, root, epoch, t.n.Load())
 	t.structVer.Add(1)
 	return t, nil

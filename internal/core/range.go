@@ -203,8 +203,8 @@ func (r *rangeScan) descend(n *dirnode.Node, e *dirnode.Entry, idx []uint64, vlo
 }
 
 // page scans one data page, filtering by the original box. The page is the
-// shared cached object, read under its shared latch (the insert fast path
-// mutates cached pages in place under the exclusive latch); record keys
+// shared cached object, read under its shared latch (an insert into a page
+// with room mutates it in place under the exclusive latch); record keys
 // are handed to fn read-only, and fn runs with the latch held — another
 // reason it must not mutate the tree.
 func (r *rangeScan) page(id pagestore.PageID) error {

@@ -31,8 +31,8 @@ import (
 //
 // The mode is exclusive-writer: Insert/Delete take wgate's write side, so
 // the shadow state is single-threaded by construction. The in-place
-// insert/delete fast paths and the structVer-retry split dance are simply
-// never taken.
+// insert commit, the delete fast path and the structVer-retry split dance
+// are simply never taken.
 //
 // Namespace discipline: the restructuring algorithms (insert.go,
 // delete.go) keep running on the ids stored in directory entries — the
@@ -226,7 +226,6 @@ func (t *Tree) writeNodeShadow(id pagestore.PageID, n *dirnode.Node) error {
 		sh.fresh[nid] = true
 		tid = nid
 	}
-	n.Latch = t.latches.of(tid)
 	if err := t.nodes.Write(tid, n); err != nil {
 		return err
 	}
@@ -252,7 +251,6 @@ func (t *Tree) writePageShadow(id pagestore.PageID, p *datapage.Page) error {
 		sh.fresh[nid] = true
 		tid = nid
 	}
-	p.Latch = t.latches.of(tid)
 	if err := t.pages.Write(tid, p); err != nil {
 		return err
 	}

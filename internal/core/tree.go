@@ -29,9 +29,10 @@
 // escalates to the exclusive side, stopping all writers. structMu serializes
 // structure changes (splits and the readers that cannot tolerate them) and
 // is only ever Try-acquired while latches are held, so writers never
-// hold-and-wait on it. Insert and the delete fast path crab per-node
-// latches down the tree, releasing ancestors as soon as the child is
-// split-safe; Search is optimistic (latch-free with structVer validation);
+// hold-and-wait on it. Insert descends once per attempt, crabbing exclusive
+// per-node latches and releasing ancestors as soon as the child is
+// split-safe; the delete fast path crabs shared latches. Search is
+// optimistic (latch-free with structVer validation);
 // Range runs under structMu's read side. See DESIGN.md for the full
 // protocol and its deadlock-freedom argument.
 package core
@@ -39,6 +40,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,16 +138,28 @@ type Tree struct {
 }
 
 // descentCtx is the reusable scratch of one descent: the shifted pseudo-key
-// vector, the per-dimension element index, the stripped-bits counter of
-// mutating descents, and the descent's held-latch set.
+// vector, the per-dimension element index, the stripped-bits counter and
+// frame stack of insert descents, and the descent's held-latch set.
 type descentCtx struct {
 	v     bitkey.Vector
 	idx   []uint64
 	strip []int
+	// stack is tryInsert's descent stack; every frame keeps its strip's
+	// backing array across uses.
+	stack []frame
 	// h receives the local depths of an element Search read out of page
 	// bytes (routeNode).
 	h  []int
 	ls latchSet
+}
+
+// push appends a frame for node id with a copy of strip.
+func (dc *descentCtx) push(id pagestore.PageID, node *dirnode.Node, strip []int) {
+	n := len(dc.stack)
+	dc.stack = slices.Grow(dc.stack, 1)[:n+1] // keeps the frames' strips
+	f := &dc.stack[n]
+	f.id, f.node = id, node
+	f.strip = append(f.strip[:0], strip...)
 }
 
 // initRuntime wires the decoded caches, accounting hook, latch table and
@@ -172,14 +186,15 @@ func (t *Tree) initRuntime() {
 	}
 }
 
-// getDescent fetches descent scratch with strip zeroed, the latch set empty
-// and v loaded from k.
+// getDescent fetches descent scratch with strip zeroed, the stack and latch
+// set empty, and v loaded from k.
 func (t *Tree) getDescent(k bitkey.Vector) *descentCtx {
 	dc := t.descents.Get().(*descentCtx)
 	copy(dc.v, k)
 	for j := range dc.strip {
 		dc.strip[j] = 0
 	}
+	dc.stack = dc.stack[:0]
 	dc.ls.held = dc.ls.held[:0]
 	return dc
 }
@@ -207,7 +222,6 @@ func New(st pagestore.Store, prm params.Params) (*Tree, error) {
 		return nil, err
 	}
 	root := dirnode.New(prm.Dims, 1)
-	root.Latch = t.latches.of(id)
 	t.installRoot(id, root)
 	t.nNodes.Store(1)
 	if err := t.nodes.Write(id, root); err != nil {
@@ -294,7 +308,6 @@ func (t *Tree) lookupNode(id pagestore.PageID, orBytes bool) (*dirnode.Node, err
 	if err != nil {
 		return nil, err
 	}
-	n.Latch = t.latches.of(id)
 	t.nc.putIfAbsent(id, n)
 	if t.structVer.Load() != v0 {
 		t.nc.invalidate(id)
@@ -340,9 +353,6 @@ func (t *Tree) writeNode(id pagestore.PageID, n *dirnode.Node) error {
 	if t.sh != nil {
 		return t.writeNodeShadow(id, n)
 	}
-	if n.Latch == nil {
-		n.Latch = t.latches.of(id)
-	}
 	if err := t.nodes.Write(id, n); err != nil {
 		return err
 	}
@@ -359,10 +369,10 @@ func (t *Tree) writeNode(id pagestore.PageID, n *dirnode.Node) error {
 // readPage fetches a data page (one counted logical read); the decoded
 // cache is consulted first, with the same accounting discipline as
 // readNode. The returned page is shared. Concurrent callers must hold the
-// page's latch: shared to read (the insert fast path mutates cached pages
-// in place), exclusive to mutate in place and write through. Miss installs
-// follow readNode's putIfAbsent discipline, with pageEpoch as the
-// staleness witness.
+// page's latch: shared to read (an insert into a page with room mutates
+// the cached page in place), exclusive to mutate in place and write
+// through. Miss installs follow readNode's putIfAbsent discipline, with
+// pageEpoch as the staleness witness.
 func (t *Tree) readPage(id pagestore.PageID) (*datapage.Page, error) {
 	return t.lookupPage(id, false)
 }
@@ -386,7 +396,6 @@ func (t *Tree) lookupPage(id pagestore.PageID, orBytes bool) (*datapage.Page, er
 	if err != nil {
 		return nil, err
 	}
-	p.Latch = t.latches.of(id)
 	t.pc.putIfAbsent(id, p)
 	if t.pageEpoch.Load() != e0 {
 		t.pc.invalidate(id)
@@ -415,7 +424,7 @@ func (t *Tree) readPageMut(id pagestore.PageID) (*datapage.Page, error) {
 // writePage stores a data page (one counted write) and installs it in the
 // decoded cache once the write committed. The caller holds the page's
 // exclusive latch; p is (or becomes) the shared cached object, which
-// readers use under the shared latch and the insert fast path mutates in
+// readers use under the shared latch and an insert with room mutates in
 // place under the exclusive one — so p must not be touched again after
 // the latch is released. Only pageEpoch is bumped: an in-place page
 // commit does not change the tree's shape, so optimistic searches need
@@ -423,9 +432,6 @@ func (t *Tree) readPageMut(id pagestore.PageID) (*datapage.Page, error) {
 func (t *Tree) writePage(id pagestore.PageID, p *datapage.Page) error {
 	if t.sh != nil {
 		return t.writePageShadow(id, p)
-	}
-	if p.Latch == nil {
-		p.Latch = t.latches.of(id)
 	}
 	if err := t.pages.Write(id, p); err != nil {
 		return err
@@ -490,10 +496,11 @@ const maxOptimistic = 8
 // current at their read time or nodes stale only because of a
 // post-snapshot commit — and any such commit bumps structVer, so the
 // validation catches it and the search retries. Data pages are the
-// exception: the insert fast path mutates the cached page in place under
-// its exclusive latch, so the final page probe holds the page's shared
-// latch for the duration of the lookup. Under sustained restructuring the
-// search degrades to one attempt under structMu's read side.
+// exception: an insert into a page with room mutates the cached page in
+// place under its exclusive latch, so the final page probe holds the
+// page's shared latch for the duration of the lookup. Under sustained
+// restructuring the search degrades to one attempt under structMu's read
+// side.
 func (t *Tree) Search(k bitkey.Vector) (uint64, bool, error) {
 	if err := t.checkKey(k); err != nil {
 		return 0, false, err
@@ -556,7 +563,7 @@ func (t *Tree) routeNode(id pagestore.PageID, v bitkey.Vector, dc *descentCtx) (
 }
 
 // probePage looks k up in data page id under the page's shared latch,
-// which excludes the in-place insert fast path for the duration of the
+// which excludes the in-place insert commit for the duration of the
 // probe (see writePage). Like routeNode it searches a cached or
 // installable decoded page, and the page bytes in place otherwise.
 func (t *Tree) probePage(id pagestore.PageID, k bitkey.Vector) (uint64, bool, error) {

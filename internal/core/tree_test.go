@@ -150,6 +150,91 @@ func TestBalancedSearchCost(t *testing.T) {
 	}
 }
 
+// TestInsertReadsPathOncePerDescent pins the ρ accounting of Tables 2–4:
+// an insertion reads its root-to-page path once per descent, and it
+// descends once per restructuring step plus once to commit, as the paper's
+// BMEH_Insert does. An insert that takes one in-node page split therefore
+// reads the path exactly twice.
+func TestInsertReadsPathOncePerDescent(t *testing.T) {
+	prm := params.Default(2, 8)
+	tr, st := newTree(t, prm)
+	gen := workload.Uniform(2, 7)
+	for i, k := range gen.Take(5000) {
+		if err := tr.Insert(k, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	levels := tr.Levels()
+	path := uint64(levels) // (levels-1) nodes + 1 page; the root is pinned
+	for _, k := range gen.Take(5000) {
+		if !splitsOnceInNode(t, tr, k) {
+			continue
+		}
+		st.ResetStats()
+		if err := tr.Insert(k, 0); err != nil {
+			t.Fatal(err)
+		}
+		s := st.Stats()
+		if tr.Levels() != levels || s.Frees != 1 {
+			t.Fatalf("insert was not one in-node page split: levels %d→%d, %d frees", levels, tr.Levels(), s.Frees)
+		}
+		if s.Reads != 2*path {
+			t.Fatalf("insert with one page split read %d pages; want %d (the %d-page path once per descent, two descents)",
+				s.Reads, 2*path, path)
+		}
+		return
+	}
+	t.Fatal("no key found whose insert takes exactly one in-node page split")
+}
+
+// splitsOnceInNode reports whether inserting k takes exactly one
+// restructuring step: its page is full, the split stays inside the leaf
+// node, and k's half is non-empty with room, so the re-entered descent
+// commits. It reads through the store; callers reset the counters after.
+func splitsOnceInNode(t *testing.T, tr *Tree, k bitkey.Vector) bool {
+	t.Helper()
+	d, w := tr.prm.Dims, tr.prm.Width
+	v := k.Clone()
+	strip := make([]int, d)
+	node := tr.rc.load().node
+	for {
+		e := &node.Entries[tr.nodeIndex(node, v)]
+		if e.Ptr == pagestore.NilPage {
+			return false
+		}
+		if e.IsNode {
+			for j := 0; j < d; j++ {
+				strip[j] += e.H[j]
+				v[j] = bitkey.LeftShift(v[j], e.H[j], w)
+			}
+			var err error
+			if node, err = tr.readNode(e.Ptr); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		p, err := tr.readPage(e.Ptr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, dup := p.Get(k); dup || p.Len() < tr.prm.Capacity {
+			return false
+		}
+		m, ok := tr.nextSplitDim(e, strip)
+		if !ok || e.H[m]+1 > node.Depths[m] {
+			return false
+		}
+		bitPos := strip[m] + e.H[m] + 1
+		same := 0
+		for _, r := range p.Records() {
+			if bitkey.Bit(r.Key[m], bitPos, w) == bitkey.Bit(k[m], bitPos, w) {
+				same++
+			}
+		}
+		return same > 0 && same < tr.prm.Capacity
+	}
+}
+
 func TestDeleteAll(t *testing.T) {
 	prm := params.Default(2, 4)
 	tr, st := newTree(t, prm)

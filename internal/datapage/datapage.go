@@ -19,7 +19,6 @@ import (
 	"fmt"
 
 	"bmeh/internal/bitkey"
-	"bmeh/internal/latch"
 )
 
 // Record is one stored record.
@@ -36,13 +35,8 @@ func Size(d, capacity int) int { return 2 + capacity*recordSize(d) }
 
 // Page is the decoded form of a data page.
 type Page struct {
-	// Latch protects the page's identity on the concurrent write path; it
-	// is attached by the cache layer and carried by Clone so every
-	// in-memory generation of the same PageID shares one latch instance.
-	// Ignored by Encode/Decode.
-	Latch *latch.Latch
-	d     int
-	recs  []Record
+	d    int
+	recs []Record
 }
 
 // New returns an empty decoded page for dimensionality d.
@@ -151,7 +145,7 @@ func (p *Page) Encode(buf []byte) (int, error) {
 // inserted, removed, or moved between pages), so a shallow copy is enough
 // for copy-on-write callers.
 func (p *Page) Clone() *Page {
-	return &Page{Latch: p.Latch, d: p.d, recs: append([]Record(nil), p.recs...)}
+	return &Page{d: p.d, recs: append([]Record(nil), p.recs...)}
 }
 
 // Len returns the number of records in the page.

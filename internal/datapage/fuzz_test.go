@@ -22,10 +22,10 @@ func FuzzDecode(f *testing.F) {
 		if _, err := p.Encode(buf); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf, d)
+		f.Add(buf, d-1) // the fuzz body maps dRaw to dRaw%8+1
 	}
-	f.Add([]byte{0xff, 0xff, 1, 2, 3}, 2)
-	f.Add([]byte{}, 1)
+	f.Add([]byte{0xff, 0xff, 1, 2, 3}, 1)
+	f.Add([]byte{}, 0)
 	f.Fuzz(func(t *testing.T, data []byte, dRaw int) {
 		d := dRaw%8 + 1
 		if d < 1 {

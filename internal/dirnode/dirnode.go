@@ -32,7 +32,6 @@ import (
 	"fmt"
 
 	"bmeh/internal/bitkey"
-	"bmeh/internal/latch"
 	"bmeh/internal/pagestore"
 )
 
@@ -69,7 +68,6 @@ func (n *Node) Clone() *Node {
 		Level:   n.Level,
 		Depths:  append([]int(nil), n.Depths...),
 		Entries: make([]Entry, len(n.Entries)),
-		Latch:   n.Latch, // the latch follows the page identity, not the copy
 		d:       n.d,
 	}
 	for i := range n.Entries {
@@ -99,14 +97,7 @@ type Node struct {
 	Depths []int
 	// Entries is the dense row-major element array, len = 2^{ΣDepths}.
 	Entries []Entry
-	// Latch is the latch protecting this node's page identity, attached by
-	// the cache layer when the node enters the decoded cache and carried by
-	// Clone: every in-memory generation of the same PageID shares one latch
-	// instance, so two writers in different subtrees clone and commit
-	// independently while writers to the same node serialize. Ignored by
-	// Encode/Decode (a latch is a runtime object, not page state).
-	Latch *latch.Latch
-	d     int
+	d       int
 }
 
 // New returns a single-element node (all depths zero) of the given level.

@@ -17,10 +17,10 @@ func FuzzDecode(f *testing.F) {
 		if _, err := n.Encode(buf); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf, d)
+		f.Add(buf, d-1) // the fuzz body maps dRaw to dRaw%8+1
 	}
-	f.Add([]byte{3, 40, 40}, 2)
-	f.Add([]byte{}, 2)
+	f.Add([]byte{3, 40, 40}, 1)
+	f.Add([]byte{}, 1)
 	f.Fuzz(func(t *testing.T, data []byte, dRaw int) {
 		d := dRaw%8 + 1
 		if d < 1 {
