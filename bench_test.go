@@ -271,7 +271,7 @@ func BenchmarkNodeCodec(b *testing.B) {
 		n.Double(1)
 	}
 	for q := range n.Entries {
-		n.Entries[q] = dirnode.Entry{Ptr: pagestore.PageID(q + 1), H: []int{3, 3}, M: q % 2}
+		n.Entries[q] = dirnode.Entry{Ptr: pagestore.PageID(q + 1), H: dirnode.LocalDepths{3, 3}, M: uint8(q % 2)}
 	}
 	buf := make([]byte, dirnode.PageBytes(2, 6))
 	b.ReportAllocs()

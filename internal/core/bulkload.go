@@ -302,9 +302,9 @@ func (v *runView) records(lo, hi int64) ([]uint64, error) {
 // bulkSlot is one region of the node under construction: the records in
 // [its range], pinned at depth h (per dimension) with index prefix pre.
 type bulkSlot struct {
-	h    []int
+	h    dirnode.LocalDepths
 	pre  []uint64
-	m    int
+	m    uint8
 	ptr  pagestore.PageID
 	node bool
 	task func() (pagestore.PageID, bool, error) // deferred child build (root level only)
@@ -465,14 +465,11 @@ func (bb *bulkBuilder) runTasks(slots []bulkSlot) error {
 func (bb *bulkBuilder) fill(v *runView, lo, hi int64, s, sEnd, level int, h []int, pre []uint64, deferTasks bool, slots *[]bulkSlot) error {
 	d := bb.t.prm.Dims
 	appendSlot := func(ptr pagestore.PageID, isNode bool, task func() (pagestore.PageID, bool, error)) {
-		*slots = append(*slots, bulkSlot{
-			h:    append([]int(nil), h...),
-			pre:  append([]uint64(nil), pre...),
-			m:    (s + d - 1) % d,
-			ptr:  ptr,
-			node: isNode,
-			task: task,
-		})
+		sl := bulkSlot{pre: append([]uint64(nil), pre...), m: uint8((s + d - 1) % d), ptr: ptr, node: isNode, task: task}
+		for j, hj := range h {
+			sl.h[j] = uint8(hj)
+		}
+		*slots = append(*slots, sl)
 	}
 	if hi-lo <= int64(bb.b) {
 		if hi == lo {
@@ -548,7 +545,7 @@ func (bb *bulkBuilder) pageOrChain(v *runView, lo, hi int64, s, level int) (page
 	n := dirnode.New(d, level)
 	n.Entries[0].Ptr = child
 	n.Entries[0].IsNode = isNode
-	n.Entries[0].M = (s + d - 1) % d
+	n.Entries[0].M = uint8((s + d - 1) % d)
 	id, err := bb.t.nodes.Alloc()
 	if err != nil {
 		return 0, false, err
@@ -616,8 +613,8 @@ func (bb *bulkBuilder) makeNode(level int, slots []bulkSlot) (pagestore.PageID, 
 	H := make([]int, d)
 	for _, sl := range slots {
 		for j := 0; j < d; j++ {
-			if sl.h[j] > H[j] {
-				H[j] = sl.h[j]
+			if int(sl.h[j]) > H[j] {
+				H[j] = int(sl.h[j])
 			}
 		}
 	}
@@ -633,15 +630,10 @@ func (bb *bulkBuilder) makeNode(level int, slots []bulkSlot) (pagestore.PageID, 
 		place = func(j int) {
 			if j == d {
 				q := n.Index(idx)
-				n.Entries[q] = dirnode.Entry{
-					Ptr:    sl.ptr,
-					IsNode: sl.node,
-					H:      append([]int(nil), sl.h...),
-					M:      sl.m,
-				}
+				n.Entries[q] = dirnode.Entry{Ptr: sl.ptr, IsNode: sl.node, H: sl.h, M: sl.m}
 				return
 			}
-			fb := uint(H[j] - sl.h[j])
+			fb := uint(H[j] - int(sl.h[j]))
 			for low := uint64(0); low < 1<<fb; low++ {
 				idx[j] = sl.pre[j]<<fb | low
 				place(j + 1)

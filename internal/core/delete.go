@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"bmeh/internal/bitkey"
 	"bmeh/internal/datapage"
@@ -92,8 +93,8 @@ func (t *Tree) tryDeleteFast(k bitkey.Vector) (done, deleted bool, err error) {
 		if e.IsNode {
 			stack = append(stack, frame{id: id, node: node, strip: append([]int(nil), strip...)})
 			for j := 0; j < d; j++ {
-				strip[j] += e.H[j]
-				vec[j] = bitkey.LeftShift(vec[j], e.H[j], t.prm.Width)
+				strip[j] += int(e.H[j])
+				vec[j] = bitkey.LeftShift(vec[j], int(e.H[j]), t.prm.Width)
 			}
 			ls.rlock(e.Ptr, node.Level-1)
 			child, err := t.readNode(e.Ptr)
@@ -144,14 +145,14 @@ func (t *Tree) wouldRestructure(stack []frame, leafID pagestore.PageID, leaf *di
 	// Would mergePages act on its first iteration? (If the first iteration
 	// does nothing, the loop exits with no action.)
 	e := leaf.Entries[q]
-	m := e.M
+	m := int(e.M)
 	if e.H[m] > 0 {
 		idx := leaf.Tuple(q)
 		bidx := append([]uint64(nil), idx...)
-		bidx[m] ^= uint64(1) << uint(leaf.Depths[m]-e.H[m])
+		bidx[m] ^= uint64(1) << uint(leaf.Depths[m]-int(e.H[m]))
 		bq := leaf.Index(bidx)
 		be := leaf.Entries[bq]
-		if !be.IsNode && sameInts(be.H, e.H) && be.Ptr != e.Ptr {
+		if !be.IsNode && be.H == e.H && be.Ptr != e.Ptr {
 			if be.Ptr == pagestore.NilPage {
 				return true, nil // the region would coarsen over the empty buddy
 			}
@@ -237,16 +238,16 @@ func (t *Tree) wouldMergeSiblings(parent *dirnode.Node, childID pagestore.PageID
 		return true, nil // snapshot raced past us: escalate conservatively
 	}
 	e := parent.Entries[q]
-	m := e.M
+	m := int(e.M)
 	if e.H[m] == 0 {
 		return false, nil
 	}
 	idx := parent.Tuple(q)
 	bidx := append([]uint64(nil), idx...)
-	bidx[m] ^= uint64(1) << uint(parent.Depths[m]-e.H[m])
+	bidx[m] ^= uint64(1) << uint(parent.Depths[m]-int(e.H[m]))
 	bq := parent.Index(bidx)
 	be := parent.Entries[bq]
-	if be.Ptr == childID || !sameInts(be.H, e.H) {
+	if be.Ptr == childID || be.H != e.H {
 		return false, nil
 	}
 	var sib *dirnode.Node
@@ -263,7 +264,7 @@ func (t *Tree) wouldMergeSiblings(parent *dirnode.Node, childID pagestore.PageID
 		return false, nil
 	}
 	a, b := child, sib
-	if (idx[m]>>uint(parent.Depths[m]-e.H[m]))&1 == 1 {
+	if (idx[m]>>uint(parent.Depths[m]-int(e.H[m])))&1 == 1 {
 		a, b = sib, child
 	}
 	_, ok := mergeNodes(a, b, m)
@@ -292,8 +293,8 @@ func (t *Tree) deleteLocked(k bitkey.Vector) (bool, error) {
 		if e.IsNode {
 			stack = append(stack, frame{id: id, node: node, strip: append([]int(nil), strip...)})
 			for j := 0; j < d; j++ {
-				strip[j] += e.H[j]
-				vec[j] = bitkey.LeftShift(vec[j], e.H[j], t.prm.Width)
+				strip[j] += int(e.H[j])
+				vec[j] = bitkey.LeftShift(vec[j], int(e.H[j]), t.prm.Width)
 			}
 			id = e.Ptr
 			var err error
@@ -318,7 +319,7 @@ func (t *Tree) deleteLocked(k bitkey.Vector) (bool, error) {
 		var frees []pagestore.PageID
 		if p.Len() == 0 {
 			pid := e.Ptr
-			node = cloneNode(node)
+			node = node.Clone()
 			dirty = true
 			for i := range node.Entries {
 				en := &node.Entries[i]
@@ -355,7 +356,7 @@ func (t *Tree) deleteLocked(k bitkey.Vector) (bool, error) {
 		}
 		if t.canShrink(node) {
 			if !dirty {
-				node = cloneNode(node)
+				node = node.Clone()
 				dirty = true
 			}
 			t.shrinkNode(node)
@@ -409,7 +410,7 @@ func (t *Tree) gcEmptyNodes() error {
 		// The sweep may shrink and rewrite any collected node — including
 		// the root, which optimistic searches read latch-free — so every
 		// collected object is a private copy; commits go through writeNode.
-		rootCopy := cloneNode(r.node)
+		rootCopy := r.node.Clone()
 		nodes := map[pagestore.PageID]*dirnode.Node{r.pageID: rootCopy}
 		var collect func(n *dirnode.Node) error
 		collect = func(n *dirnode.Node) error {
@@ -537,7 +538,7 @@ func (t *Tree) mergePages(node *dirnode.Node, nodeID pagestore.PageID, q int) (*
 	changed := false
 	mutable := func() {
 		if !changed {
-			node = cloneNode(node)
+			node = node.Clone()
 			changed = true
 		}
 	}
@@ -547,19 +548,19 @@ func (t *Tree) mergePages(node *dirnode.Node, nodeID pagestore.PageID, q int) (*
 		if e.Ptr == pagestore.NilPage || e.IsNode {
 			return node, changed, frees, nil
 		}
-		m := e.M
+		m := int(e.M)
 		if e.H[m] == 0 {
 			return node, changed, frees, nil
 		}
 		idx := node.Tuple(q)
 		bidx := append([]uint64(nil), idx...)
-		bidx[m] ^= uint64(1) << uint(node.Depths[m]-e.H[m])
+		bidx[m] ^= uint64(1) << uint(node.Depths[m]-int(e.H[m]))
 		bq := node.Index(bidx)
 		be := node.Entries[bq]
-		if be.IsNode || !sameInts(be.H, e.H) {
+		if be.IsNode || be.H != e.H {
 			return node, changed, frees, nil
 		}
-		mergedH := append([]int(nil), e.H...)
+		mergedH := e.H
 		mergedH[m]--
 		prevM := (m + t.prm.Dims - 1) % t.prm.Dims
 		switch {
@@ -614,10 +615,10 @@ func (t *Tree) mergePages(node *dirnode.Node, nodeID pagestore.PageID, q int) (*
 
 // inRegion reports whether element i lies in the region of element q at
 // local depths h.
-func inRegion(node *dirnode.Node, i, q int, h []int) bool {
+func inRegion(node *dirnode.Node, i, q int, h dirnode.LocalDepths) bool {
 	ti, tq := node.Tuple(i), node.Tuple(q)
 	for j := 0; j < node.Dims(); j++ {
-		shift := uint(node.Depths[j] - h[j])
+		shift := uint(node.Depths[j] - int(h[j]))
 		if ti[j]>>shift != tq[j]>>shift {
 			return false
 		}
@@ -627,14 +628,10 @@ func inRegion(node *dirnode.Node, i, q int, h []int) bool {
 
 // coarsenRegion rewrites the region of element q at (coarser) local depths
 // h to point to ptr.
-func coarsenRegion(node *dirnode.Node, q int, h []int, ptr pagestore.PageID, isNode bool, m int) {
+func coarsenRegion(node *dirnode.Node, q int, h dirnode.LocalDepths, ptr pagestore.PageID, isNode bool, m int) {
 	for i := range node.Entries {
 		if inRegion(node, i, q, h) {
-			en := &node.Entries[i]
-			en.Ptr = ptr
-			en.IsNode = isNode
-			copy(en.H, h)
-			en.M = m
+			node.Entries[i] = dirnode.Entry{Ptr: ptr, IsNode: isNode, H: h, M: uint8(m)}
 		}
 	}
 }
@@ -650,7 +647,7 @@ func (t *Tree) canShrink(node *dirnode.Node) bool {
 		}
 		needed := false
 		for i := range node.Entries {
-			if node.Entries[i].H[m] == node.Depths[m] &&
+			if int(node.Entries[i].H[m]) == node.Depths[m] &&
 				(node.Entries[i].Ptr != pagestore.NilPage) {
 				needed = true
 				break
@@ -677,7 +674,7 @@ func (t *Tree) shrinkNode(node *dirnode.Node) {
 			}
 			needed := false
 			for i := range node.Entries {
-				if node.Entries[i].H[m] == node.Depths[m] &&
+				if int(node.Entries[i].H[m]) == node.Depths[m] &&
 					(node.Entries[i].Ptr != pagestore.NilPage) {
 					needed = true
 					break
@@ -714,9 +711,9 @@ func undouble(node *dirnode.Node, m int) {
 		idx := node.Tuple(q)
 		src := append([]uint64(nil), idx...)
 		src[m] <<= 1
-		e := dirnode.CloneEntry(old[oldIndex(src)])
-		if e.H[m] > node.Depths[m] {
-			e.H[m] = node.Depths[m] // nil regions clamp to the new depth
+		e := old[oldIndex(src)]
+		if int(e.H[m]) > node.Depths[m] {
+			e.H[m] = uint8(node.Depths[m]) // nil regions clamp to the new depth
 		}
 		node.Entries[q] = e
 	}
@@ -760,7 +757,7 @@ func (t *Tree) mergeUpward(stack []frame, childID pagestore.PageID, child *dirno
 		}
 		if t.canShrink(parent) {
 			if !dirty {
-				parent = cloneNode(parent)
+				parent = parent.Clone()
 				dirty = true
 			}
 			t.shrinkNode(parent)
@@ -810,7 +807,7 @@ func (t *Tree) pruneEmptyChild(parent *dirnode.Node, parentID, childID pagestore
 	if !found {
 		return nil, pagestore.NilPage, false, nil
 	}
-	parent = cloneNode(parent)
+	parent = parent.Clone()
 	for i := range parent.Entries {
 		e := &parent.Entries[i]
 		if e.IsNode && e.Ptr == childID {
@@ -849,16 +846,16 @@ func (t *Tree) tryMergeSiblings(parent *dirnode.Node, parentID, childID pagestor
 		return nil, nil, fmt.Errorf("bmeh: node %d not referenced by its parent", childID)
 	}
 	e := parent.Entries[q]
-	m := e.M
+	m := int(e.M)
 	if e.H[m] == 0 {
 		return nil, nil, nil
 	}
 	idx := parent.Tuple(q)
 	bidx := append([]uint64(nil), idx...)
-	bidx[m] ^= uint64(1) << uint(parent.Depths[m]-e.H[m])
+	bidx[m] ^= uint64(1) << uint(parent.Depths[m]-int(e.H[m]))
 	bq := parent.Index(bidx)
 	be := parent.Entries[bq]
-	if be.Ptr == childID || !sameInts(be.H, e.H) {
+	if be.Ptr == childID || be.H != e.H {
 		return nil, nil, nil
 	}
 	var sibID pagestore.PageID
@@ -882,7 +879,7 @@ func (t *Tree) tryMergeSiblings(parent *dirnode.Node, parentID, childID pagestor
 	// Order the pair as (a = low half, b = high half) by the split bit.
 	aID, bID := childID, sibID
 	a, b := child, sib
-	if (idx[m]>>uint(parent.Depths[m]-e.H[m]))&1 == 1 {
+	if (idx[m]>>uint(parent.Depths[m]-int(e.H[m])))&1 == 1 {
 		aID, bID = sibID, childID
 		a, b = sib, child
 	}
@@ -913,9 +910,9 @@ func (t *Tree) tryMergeSiblings(parent *dirnode.Node, parentID, childID pagestor
 	if sibID != pagestore.NilPage {
 		t.nNodes.Add(-1) // two nodes replace one
 	}
-	mergedH := append([]int(nil), e.H...)
+	mergedH := e.H
 	mergedH[m]--
-	parent = cloneNode(parent)
+	parent = parent.Clone()
 	coarsenRegion(parent, q, mergedH, newID, true, (m+t.prm.Dims-1)%t.prm.Dims)
 	return parent, frees, nil
 }
@@ -927,7 +924,7 @@ func (t *Tree) tryMergeSiblings(parent *dirnode.Node, parentID, childID pagestor
 // the content of side's element (low, *), with h_m incremented unless the
 // element's pointer spans both siblings at h_m = 0.
 func mergeNodes(a, b *dirnode.Node, m int) (*dirnode.Node, bool) {
-	if a.Level != b.Level || !sameInts(a.Depths, b.Depths) || a.Depths[m] == 0 {
+	if a.Level != b.Level || !slices.Equal(a.Depths, b.Depths) || a.Depths[m] == 0 {
 		return nil, false
 	}
 	for _, n := range []*dirnode.Node{a, b} {
@@ -940,7 +937,7 @@ func mergeNodes(a, b *dirnode.Node, m int) (*dirnode.Node, bool) {
 			tw[m] |= 1
 			twin := n.Entries[n.Index(tw)]
 			e := n.Entries[i]
-			if twin.Ptr != e.Ptr || twin.IsNode != e.IsNode || !sameInts(twin.H, e.H) {
+			if twin.Ptr != e.Ptr || twin.IsNode != e.IsNode || twin.H != e.H {
 				return nil, false
 			}
 		}
@@ -966,15 +963,15 @@ func mergeNodes(a, b *dirnode.Node, m int) (*dirnode.Node, bool) {
 		}
 		sidx := append([]uint64(nil), idx...)
 		sidx[m] = low << 1
-		e := dirnode.CloneEntry(src.Entries[src.Index(sidx)])
+		e := src.Entries[src.Index(sidx)]
 		switch {
 		case e.Ptr != pagestore.NilPage && e.H[m] == 0 && present(a, e.Ptr) && present(b, e.Ptr):
 			// The region spans both siblings: keep h_m = 0.
 		case e.Ptr == pagestore.NilPage:
-			if e.H[m] < hm {
+			if int(e.H[m]) < hm {
 				e.H[m]++ // empty-region bookkeeping just tracks the window
 			}
-		case e.H[m] < hm:
+		case int(e.H[m]) < hm:
 			e.H[m]++
 		default:
 			return nil, false // a live element still needs the full window

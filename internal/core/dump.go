@@ -31,7 +31,7 @@ func (t *Tree) Dump(w io.Writer) error {
 			printed[e.Ptr] = true
 			idx := n.Tuple(q)
 			if e.IsNode {
-				fmt.Fprintf(w, "%s  cell %v h=%v m=%d -> node %d\n", indent, idx, e.H, e.M+1, e.Ptr)
+				fmt.Fprintf(w, "%s  cell %v h=%v m=%d -> node %d\n", indent, idx, e.H[:n.Dims()], e.M+1, e.Ptr)
 				if !seenNodes[e.Ptr] {
 					seenNodes[e.Ptr] = true
 					c, err := t.readNode(e.Ptr)
@@ -53,7 +53,7 @@ func (t *Tree) Dump(w io.Writer) error {
 				}
 				occ = fmt.Sprintf("%d/%d", p.Len(), t.prm.Capacity)
 			}
-			fmt.Fprintf(w, "%s  cell %v h=%v m=%d -> page %d (%s records)\n", indent, idx, e.H, e.M+1, e.Ptr, occ)
+			fmt.Fprintf(w, "%s  cell %v h=%v m=%d -> page %d (%s records)\n", indent, idx, e.H[:n.Dims()], e.M+1, e.Ptr, occ)
 		}
 		return nil
 	}

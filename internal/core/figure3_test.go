@@ -69,7 +69,7 @@ func TestFigure3Semantics(t *testing.T) {
 			t.Fatalf("root element %d is not a node pointer", i)
 		}
 		if e.H[0] != 1 || e.H[1] != 0 {
-			t.Fatalf("root element %d local depths %v, want ⟨1,0⟩ (paper: initialized to 1)", i, e.H)
+			t.Fatalf("root element %d local depths %v, want ⟨1,0⟩ (paper: initialized to 1)", i, e.H[:2])
 		}
 		if e.M != 0 {
 			t.Fatalf("root element %d split dimension %d, want dimension 1", i, e.M+1)
@@ -91,18 +91,18 @@ func TestFigure3Semantics(t *testing.T) {
 	}
 	k1cell := a.At([]uint64{0, 0})
 	if k1cell.H[0] != 2 || k1cell.H[1] != 2 {
-		t.Fatalf("trigger element h = %v, want ⟨2,2⟩ (not decremented)", k1cell.H)
+		t.Fatalf("trigger element h = %v, want ⟨2,2⟩ (not decremented)", k1cell.H[:2])
 	}
 	k6cell := a.At([]uint64{1, 0})
 	if k6cell.H[0] != 2 || k6cell.H[1] != 2 {
-		t.Fatalf("trigger twin element h = %v, want ⟨2,2⟩", k6cell.H)
+		t.Fatalf("trigger twin element h = %v, want ⟨2,2⟩", k6cell.H[:2])
 	}
 	if k1cell.Ptr == k6cell.Ptr {
 		t.Fatal("K1 and K6 must land in the two pages the split created")
 	}
 	k4cell := a.At([]uint64{2, 0})
 	if k4cell.H[0] != 1 || k4cell.H[1] != 1 {
-		t.Fatalf("K4's element h = %v, want ⟨1,1⟩ (h_1 decremented by the split)", k4cell.H)
+		t.Fatalf("K4's element h = %v, want ⟨1,1⟩ (h_1 decremented by the split)", k4cell.H[:2])
 	}
 
 	// All six keys remain findable through the new hierarchy.

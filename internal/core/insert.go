@@ -117,8 +117,8 @@ func (t *Tree) tryInsert(k bitkey.Vector, v uint64, structural *bool) (bool, err
 		if e.Ptr != pagestore.NilPage && e.IsNode {
 			dc.push(id, node, strip)
 			for j := 0; j < d; j++ {
-				strip[j] += e.H[j]
-				vec[j] = bitkey.LeftShift(vec[j], e.H[j], t.prm.Width)
+				strip[j] += int(e.H[j])
+				vec[j] = bitkey.LeftShift(vec[j], int(e.H[j]), t.prm.Width)
 			}
 			childID := e.Ptr
 			ls.lock(childID, node.Level-1)
@@ -147,17 +147,14 @@ func (t *Tree) tryInsert(k bitkey.Vector, v uint64, structural *bool) (bool, err
 			if err := t.writeNode(cid, child); err != nil {
 				return false, err
 			}
-			h, em := append([]int(nil), e.H...), e.M
-			node = cloneNode(node)
+			h, em := e.H, e.M
+			node = node.Clone()
 			for _, bq := range node.Buddies(q) {
 				en := &node.Entries[bq]
 				if en.Ptr != pagestore.NilPage {
 					continue
 				}
-				en.Ptr = cid
-				en.IsNode = true
-				copy(en.H, h)
-				en.M = em
+				*en = dirnode.Entry{Ptr: cid, IsNode: true, H: h, M: em}
 			}
 			if err := t.writeNode(id, node); err != nil {
 				return false, err
@@ -178,17 +175,14 @@ func (t *Tree) tryInsert(k bitkey.Vector, v uint64, structural *bool) (bool, err
 			if err := t.writePage(pid, p); err != nil {
 				return false, err
 			}
-			h, em := append([]int(nil), e.H...), e.M
-			node = cloneNode(node)
+			h, em := e.H, e.M
+			node = node.Clone()
 			for _, b := range node.Buddies(q) {
 				en := &node.Entries[b]
 				if en.Ptr != pagestore.NilPage {
 					continue // defensive: never clobber a live region
 				}
-				en.Ptr = pid
-				en.IsNode = false
-				copy(en.H, h)
-				en.M = em
+				*en = dirnode.Entry{Ptr: pid, H: h, M: em}
 			}
 			if err := t.writeNode(id, node); err != nil {
 				return false, err
@@ -276,20 +270,19 @@ func (t *Tree) restructure(ls *latchSet, stack []frame, id pagestore.PageID, nod
 	if !ok {
 		return fmt.Errorf("bmeh: cannot split page: all dimensions exhausted at width %d", t.prm.Width)
 	}
-	newh := e.H[m] + 1
+	newh := int(e.H[m]) + 1
 	if newh > node.Depths[m] && node.Depths[m] < t.prm.Xi[m] {
 		// Expand_Dir: double the node along m (on a private copy — the
 		// descent shares cached objects); the page split happens on the
 		// next attempt. A single page write: atomic.
-		node = cloneNode(node)
+		node = node.Clone()
 		node.Double(m)
 		return t.writeNode(id, node)
 	}
 	// Split the data page on the next bit of dimension m (the absolute bit
 	// position in the stored key is strip[m] + newh) into copy-on-write
 	// pages.
-	oldPtr := e.Ptr
-	oldH := append([]int(nil), e.H...)
+	oldPtr, oldH := e.Ptr, e.H
 	ones := p.PartitionByBit(m, strip[m]+newh, t.prm.Width)
 	writeHalf := func(half *datapage.Page) (pagestore.PageID, error) {
 		if half.Len() == 0 {
@@ -313,7 +306,7 @@ func (t *Tree) restructure(ls *latchSet, stack []frame, id pagestore.PageID, nod
 		// Plain page split within the node: deepen the region's elements
 		// and distribute the two pages across its halves. The node write
 		// commits.
-		node = cloneNode(node)
+		node = node.Clone()
 		t.assignSplit(node, oldPtr, oldH, m, newh, pz, po, false)
 		if err := t.writeNode(id, node); err != nil {
 			return err
@@ -328,11 +321,11 @@ func (t *Tree) restructure(ls *latchSet, stack []frame, id pagestore.PageID, nod
 // (with local depths oldH): the half whose dimension-m index has bit newh
 // equal to 0 now points to pz, the other half to po; local depth h_m
 // becomes newh and the last-split dimension m is recorded.
-func (t *Tree) assignSplit(node *dirnode.Node, oldPtr pagestore.PageID, oldH []int, m, newh int, pz, po pagestore.PageID, isNode bool) {
+func (t *Tree) assignSplit(node *dirnode.Node, oldPtr pagestore.PageID, oldH dirnode.LocalDepths, m, newh int, pz, po pagestore.PageID, isNode bool) {
 	shift := uint(node.Depths[m] - newh)
 	for i := range node.Entries {
 		en := &node.Entries[i]
-		if en.Ptr != oldPtr || en.IsNode != isNode || !sameInts(en.H, oldH) {
+		if en.Ptr != oldPtr || en.IsNode != isNode || en.H != oldH {
 			continue
 		}
 		idx := node.Tuple(i)
@@ -342,8 +335,8 @@ func (t *Tree) assignSplit(node *dirnode.Node, oldPtr pagestore.PageID, oldH []i
 			en.Ptr = po
 		}
 		en.IsNode = isNode
-		en.H[m] = newh
-		en.M = m
+		en.H[m] = uint8(newh)
+		en.M = uint8(m)
 	}
 }
 
@@ -394,11 +387,11 @@ func (t *Tree) splitChain(ls *latchSet, stack []frame, id pagestore.PageID, node
 		pf := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		parent, pid := pf.node, pf.id
-		h := regionDepths(parent, trigPtr)
-		if h == nil {
+		h, ok := regionDepths(parent, trigPtr)
+		if !ok {
 			return fmt.Errorf("bmeh: node %d not referenced by its parent %d", trigPtr, pid)
 		}
-		newh := h[m] + 1
+		newh := int(h[m]) + 1
 		if newh > parent.Depths[m] {
 			if parent.Depths[m] >= t.prm.Xi[m] {
 				// The parent must split as well (splitNode only reads it,
@@ -407,10 +400,10 @@ func (t *Tree) splitChain(ls *latchSet, stack []frame, id pagestore.PageID, node
 				stripM = pf.strip[m]
 				continue
 			}
-			parent = cloneNode(parent)
+			parent = parent.Clone()
 			parent.Double(m)
 		} else {
-			parent = cloneNode(parent)
+			parent = parent.Clone()
 		}
 		t.assignSplit(parent, trigPtr, h, m, newh, pz, po, true)
 		if err := t.writeNode(pid, parent); err != nil {
@@ -456,13 +449,12 @@ func (t *Tree) newRoot(m int, a, b pagestore.PageID, level int) error {
 	root := dirnode.New(d, level)
 	root.Double(m)
 	for i := range root.Entries {
-		h := make([]int, d)
-		h[m] = 1
-		ptr := a
+		e := dirnode.Entry{Ptr: a, IsNode: true, M: uint8(m)}
+		e.H[m] = 1
 		if i == 1 {
-			ptr = b
+			e.Ptr = b
 		}
-		root.Entries[i] = dirnode.Entry{Ptr: ptr, IsNode: true, H: h, M: m}
+		root.Entries[i] = e
 	}
 	rid, err := t.allocNode()
 	if err != nil {
@@ -525,7 +517,7 @@ func (t *Tree) splitNode(ls *latchSet, old *dirnode.Node, m, stripM int, trigPtr
 				if bnew == 1 {
 					ptr = po
 				}
-				*child.At(cidx) = dirnode.Entry{Ptr: ptr, IsNode: trigIsNode, H: append([]int(nil), e.H...), M: m}
+				*child.At(cidx) = dirnode.Entry{Ptr: ptr, IsNode: trigIsNode, H: e.H, M: uint8(m)}
 			}
 		case e.H[m] > 0:
 			// The region lies inside one half; its window slides.
@@ -533,12 +525,12 @@ func (t *Tree) splitNode(ls *latchSet, old *dirnode.Node, m, stripM int, trigPtr
 			if lead == 1 {
 				child = b
 			}
-			h := append([]int(nil), e.H...)
-			h[m]--
+			ce := *e
+			ce.H[m]--
 			for bnew := uint64(0); bnew < 2; bnew++ {
 				cidx := append([]uint64(nil), idx...)
 				cidx[m] = low<<1 | bnew
-				*child.At(cidx) = dirnode.Entry{Ptr: e.Ptr, IsNode: e.IsNode, H: h, M: e.M}
+				*child.At(cidx) = ce
 			}
 		default:
 			// h_m = 0: the region crosses the plane. Split its referent
@@ -566,8 +558,8 @@ func (t *Tree) splitNode(ls *latchSet, old *dirnode.Node, m, stripM int, trigPtr
 				if hm > 0 {
 					cidx[m] = low<<1 | bnew
 				}
-				ea := dirnode.Entry{Ptr: halves.lo, IsNode: e.IsNode, H: append([]int(nil), e.H...), M: e.M}
-				eb := dirnode.Entry{Ptr: halves.hi, IsNode: e.IsNode, H: append([]int(nil), e.H...), M: e.M}
+				ea, eb := *e, *e
+				ea.Ptr, eb.Ptr = halves.lo, halves.hi
 				if halves.lo == pagestore.NilPage {
 					ea.IsNode = false
 				}
@@ -668,34 +660,22 @@ func cloneShape(n *dirnode.Node) *dirnode.Node {
 func (t *Tree) nextSplitDim(e *dirnode.Entry, strip []int) (int, bool) {
 	d := t.prm.Dims
 	for step := 1; step <= d; step++ {
-		m := (e.M + step) % d
-		if strip[m]+e.H[m] < t.prm.Width {
+		m := (int(e.M) + step) % d
+		if strip[m]+int(e.H[m]) < t.prm.Width {
 			return m, true
 		}
 	}
 	return 0, false
 }
 
-// regionDepths returns (a copy of) the local depths of the region of parent
-// whose elements point to the node child, or nil if none do.
-func regionDepths(parent *dirnode.Node, child pagestore.PageID) []int {
+// regionDepths returns the local depths of the region of parent whose
+// elements point to the node child, and false if none do.
+func regionDepths(parent *dirnode.Node, child pagestore.PageID) (dirnode.LocalDepths, bool) {
 	for i := range parent.Entries {
 		e := &parent.Entries[i]
 		if e.IsNode && e.Ptr == child {
-			return append([]int(nil), e.H...)
+			return e.H, true
 		}
 	}
-	return nil
-}
-
-func sameInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return dirnode.LocalDepths{}, false
 }

@@ -452,7 +452,7 @@ func (tr *Tree) leafPage(t *testing.T, k bitkey.Vector) (pagestore.PageID, *data
 			return e.Ptr, p
 		}
 		for j := range v {
-			v[j] = bitkey.LeftShift(v[j], e.H[j], tr.prm.Width)
+			v[j] = bitkey.LeftShift(v[j], int(e.H[j]), tr.prm.Width)
 		}
 		var err error
 		if n, err = tr.nodes.Read(e.Ptr); err != nil {

@@ -178,14 +178,15 @@ func (r *rangeScan) descend(n *dirnode.Node, e *dirnode.Entry, idx []uint64, vlo
 	}
 	for j := 0; j < d; j++ {
 		// The region's h_j-bit prefix in this node's frame.
-		regionPrefix := idx[j] >> uint(n.Depths[j]-e.H[j])
-		if bitkey.G(vlo[j], e.H[j], r.width) == regionPrefix {
-			clo[j] = bitkey.LeftShift(vlo[j], e.H[j], r.width)
+		hj := int(e.H[j])
+		regionPrefix := idx[j] >> uint(n.Depths[j]-hj)
+		if bitkey.G(vlo[j], hj, r.width) == regionPrefix {
+			clo[j] = bitkey.LeftShift(vlo[j], hj, r.width)
 		} else {
 			clo[j] = 0 // query lower bound lies below this region
 		}
-		if bitkey.G(vhi[j], e.H[j], r.width) == regionPrefix {
-			chi[j] = bitkey.LeftShift(vhi[j], e.H[j], r.width)
+		if bitkey.G(vhi[j], hj, r.width) == regionPrefix {
+			chi[j] = bitkey.LeftShift(vhi[j], hj, r.width)
 		} else {
 			chi[j] = full // query upper bound lies above this region
 		}

@@ -412,7 +412,7 @@ func (t *Tree) stitchShadow() (pagestore.PageID, *dirnode.Node, error) {
 				continue
 			}
 			if !changed {
-				cur = cloneNode(n)
+				cur = n.Clone()
 				changed = true
 			}
 			cur.Entries[i].Ptr = nid
@@ -647,7 +647,7 @@ func (s *TreeSnapshot) Get(k bitkey.Vector) (uint64, bool, error) {
 			return val, ok, nil
 		}
 		for j := 0; j < t.prm.Dims; j++ {
-			v[j] = bitkey.LeftShift(v[j], e.H[j], t.prm.Width)
+			v[j] = bitkey.LeftShift(v[j], int(e.H[j]), t.prm.Width)
 		}
 		var err error
 		node, err = t.readNode(e.Ptr)

@@ -147,10 +147,7 @@ type descentCtx struct {
 	// stack is tryInsert's descent stack; every frame keeps its strip's
 	// backing array across uses.
 	stack []frame
-	// h receives the local depths of an element Search read out of page
-	// bytes (routeNode).
-	h  []int
-	ls latchSet
+	ls    latchSet
 }
 
 // push appends a frame for node id with a copy of strip.
@@ -180,7 +177,6 @@ func (t *Tree) initRuntime() {
 			v:     make(bitkey.Vector, d),
 			idx:   make([]uint64, d),
 			strip: make([]int, d),
-			h:     make([]int, d),
 			ls:    latchSet{t: t},
 		}
 	}
@@ -328,7 +324,7 @@ func (t *Tree) readNodeMut(id pagestore.PageID) (*dirnode.Node, error) {
 		id = sh.target(id)
 	}
 	if r := t.rc.load(); id == r.pageID {
-		return cloneNode(r.node), nil
+		return r.node.Clone(), nil
 	}
 	if n, ok := t.nc.get(id); ok {
 		if t.acct != nil {
@@ -336,13 +332,10 @@ func (t *Tree) readNodeMut(id pagestore.PageID) (*dirnode.Node, error) {
 				return nil, err
 			}
 		}
-		return cloneNode(n), nil
+		return n.Clone(), nil
 	}
 	return t.nodes.Read(id)
 }
-
-// cloneNode deep-copies a directory node.
-func cloneNode(n *dirnode.Node) *dirnode.Node { return n.Clone() }
 
 // writeNode stores a node (one counted write). The write is the commit
 // point: the pinned in-memory root is replaced only after the page write
@@ -530,7 +523,7 @@ func (t *Tree) searchOnce(k bitkey.Vector) (uint64, bool, error) {
 	ptr, isNode, h := e.Ptr, e.IsNode, e.H
 	for ptr != pagestore.NilPage && isNode {
 		for j := 0; j < t.prm.Dims; j++ {
-			v[j] = bitkey.LeftShift(v[j], h[j], t.prm.Width)
+			v[j] = bitkey.LeftShift(v[j], int(h[j]), t.prm.Width)
 		}
 		var err error
 		if ptr, isNode, h, err = t.routeNode(ptr, v, dc); err != nil {
@@ -545,18 +538,17 @@ func (t *Tree) searchOnce(k bitkey.Vector) (uint64, bool, error) {
 
 // routeNode takes one search step through directory node id for the
 // shifted key v and returns the followed element's pointer, kind and
-// local depths (read-only). A cached node, or one decoded into a cache
-// shard with a free slot, is indexed as it is; a miss into a full shard
-// reads the element straight out of the page bytes into dc.h, decoding,
-// installing and evicting nothing.
-func (t *Tree) routeNode(id pagestore.PageID, v bitkey.Vector, dc *descentCtx) (pagestore.PageID, bool, []int, error) {
+// local depths. A cached node, or one decoded into a cache shard with a
+// free slot, is indexed as it is; a miss into a full shard reads the
+// element straight out of the page bytes, decoding, installing and
+// evicting nothing.
+func (t *Tree) routeNode(id pagestore.PageID, v bitkey.Vector, dc *descentCtx) (pagestore.PageID, bool, dirnode.LocalDepths, error) {
 	n, err := t.lookupNode(id, true)
 	if err != nil {
-		return pagestore.NilPage, false, nil, err
+		return pagestore.NilPage, false, dirnode.LocalDepths{}, err
 	}
 	if n == nil {
-		ptr, isNode, err := t.nodes.Route(id, v, t.prm.Width, t.prm.Xi, dc.h)
-		return ptr, isNode, dc.h, err
+		return t.nodes.Route(id, v, t.prm.Width, t.prm.Xi)
 	}
 	e := &n.Entries[t.nodeIndexInto(n, v, dc.idx)]
 	return e.Ptr, e.IsNode, e.H, nil

@@ -204,8 +204,8 @@ func splitsOnceInNode(t *testing.T, tr *Tree, k bitkey.Vector) bool {
 		}
 		if e.IsNode {
 			for j := 0; j < d; j++ {
-				strip[j] += e.H[j]
-				v[j] = bitkey.LeftShift(v[j], e.H[j], w)
+				strip[j] += int(e.H[j])
+				v[j] = bitkey.LeftShift(v[j], int(e.H[j]), w)
 			}
 			var err error
 			if node, err = tr.readNode(e.Ptr); err != nil {
@@ -221,10 +221,10 @@ func splitsOnceInNode(t *testing.T, tr *Tree, k bitkey.Vector) bool {
 			return false
 		}
 		m, ok := tr.nextSplitDim(e, strip)
-		if !ok || e.H[m]+1 > node.Depths[m] {
+		if !ok || int(e.H[m])+1 > node.Depths[m] {
 			return false
 		}
-		bitPos := strip[m] + e.H[m] + 1
+		bitPos := strip[m] + int(e.H[m]) + 1
 		same := 0
 		for _, r := range p.Records() {
 			if bitkey.Bit(r.Key[m], bitPos, w) == bitkey.Bit(k[m], bitPos, w) {

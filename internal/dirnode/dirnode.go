@@ -8,10 +8,12 @@
 // page or to a lower-level node), d local depths h_j ≤ H_j, and the
 // dimension m along which the element's region was last split.
 //
-// In memory the element array is dense row-major over the current depths.
-// A node always occupies exactly one disk page regardless of how many of
-// its element slots are in use, which is why the paper reports tree
-// directory sizes in multiples of the node capacity M = 2^φ.
+// In memory the element array is dense row-major over the current depths,
+// and an element (Entry) is a 16-byte value with no pointer in it: copying
+// or decoding a node allocates the node and one element array, whatever
+// its size. A node always occupies exactly one disk page regardless of how
+// many of its element slots are in use, which is why the paper reports
+// tree directory sizes in multiples of the node capacity M = 2^φ.
 //
 // Route is the read-only view over that layout: it checks a node image's
 // header, computes the element address of Theorem 1 and reads the one
@@ -32,6 +34,7 @@ import (
 	"fmt"
 
 	"bmeh/internal/bitkey"
+	"bmeh/internal/extarray"
 	"bmeh/internal/pagestore"
 )
 
@@ -39,40 +42,46 @@ import (
 // data page. PageIDs therefore must stay below 2^31.
 const nodeFlag uint32 = 1 << 31
 
-// Entry is one directory element.
+// LocalDepths holds an element's local depths h_j, one byte per dimension
+// as on the page. The slots at and past the node's dimensionality stay
+// zero, so two elements' depths compare with ==.
+type LocalDepths [extarray.MaxDims]uint8
+
+// Entry is one directory element: the encoded element widened only to
+// MaxDims depth slots. It holds no pointer, so an element array is a
+// single allocation the garbage collector never scans, and copying a
+// node's elements is one slice copy.
 type Entry struct {
 	// Ptr is the page the element points to; NilPage for an empty region.
 	Ptr pagestore.PageID
+	// H holds the element's local depths h_j.
+	H LocalDepths
 	// IsNode reports whether Ptr refers to a directory node (true) or a
 	// data page (false). Meaningless when Ptr is nil.
 	IsNode bool
-	// H holds the element's local depths h_j, one per dimension.
-	H []int
 	// M is the 0-based dimension along which the element's region was last
 	// split; the next split uses the cyclically following dimension.
-	M int
+	M uint8
 }
 
-// CloneEntry returns a deep copy of e.
-func CloneEntry(e Entry) Entry {
-	c := e
-	c.H = append([]int(nil), e.H...)
-	return c
+// alloc returns a node of dimensionality d with count zeroed elements, in
+// two allocations: the node together with its depths, and the elements.
+func alloc(d, level, count int) *Node {
+	b := new(struct {
+		n      Node
+		depths [extarray.MaxDims]int
+	})
+	b.n = Node{Level: level, Depths: b.depths[:d:d], Entries: make([]Entry, count), d: d}
+	return &b.n
 }
 
-// Clone deep-copies the node: mutating the copy (its depths, entries, or
-// any entry's local-depth slice) never affects the original. Used by
-// mutating descents to take a private copy of a shared cached node.
+// Clone copies the node: mutating the copy (its depths or entries) never
+// affects the original. Used by mutating descents to take a private copy
+// of a shared cached node.
 func (n *Node) Clone() *Node {
-	c := &Node{
-		Level:   n.Level,
-		Depths:  append([]int(nil), n.Depths...),
-		Entries: make([]Entry, len(n.Entries)),
-		d:       n.d,
-	}
-	for i := range n.Entries {
-		c.Entries[i] = CloneEntry(n.Entries[i])
-	}
+	c := alloc(n.d, n.Level, len(n.Entries))
+	copy(c.Depths, n.Depths)
+	copy(c.Entries, n.Entries)
 	return c
 }
 
@@ -102,9 +111,8 @@ type Node struct {
 
 // New returns a single-element node (all depths zero) of the given level.
 func New(d, level int) *Node {
-	n := &Node{Level: level, Depths: make([]int, d), d: d}
-	n.Entries = make([]Entry, 1)
-	n.Entries[0] = Entry{H: make([]int, d), M: d - 1}
+	n := alloc(d, level, 1)
+	n.Entries[0].M = uint8(d - 1)
 	return n
 }
 
@@ -170,7 +178,7 @@ func (n *Node) Double(m int) {
 		for j := 0; j < n.d; j++ {
 			sq = sq<<uint(oldDepths[j]) | src[j]
 		}
-		n.Entries[q] = CloneEntry(old[sq])
+		n.Entries[q] = old[sq]
 	}
 }
 
@@ -186,7 +194,7 @@ func (n *Node) Buddies(q int) []int {
 		idx := n.Tuple(p)
 		match := true
 		for j := 0; j < n.d; j++ {
-			shift := uint(n.Depths[j] - e.H[j])
+			shift := uint(n.Depths[j] - int(e.H[j]))
 			if idx[j]>>shift != base[j]>>shift {
 				match = false
 				break
@@ -219,7 +227,7 @@ func (n *Node) Encode(buf []byte) (int, error) {
 	for i := range n.Entries {
 		e := &n.Entries[i]
 		for j := 0; j < n.d; j++ {
-			if e.H[j] < 0 || e.H[j] > n.Depths[j] {
+			if int(e.H[j]) > n.Depths[j] {
 				return 0, fmt.Errorf("dirnode: entry %d local depth h_%d = %d out of range 0..%d", i, j+1, e.H[j], n.Depths[j])
 			}
 		}
@@ -258,18 +266,13 @@ func Decode(buf []byte, d int) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{Level: int(buf[0]), Depths: make([]int, d), d: d}
+	n := alloc(d, int(buf[0]), count)
 	for j := 0; j < d; j++ {
 		n.Depths[j] = int(buf[1+j])
 	}
 	off := HeaderSize(d)
-	n.Entries = make([]Entry, count)
-	for i := 0; i < count; i++ {
-		e, err := DecodeEntry(buf[off:], d)
-		if err != nil {
-			return nil, fmt.Errorf("dirnode: entry %d: %w", i, err)
-		}
-		n.Entries[i] = e
+	for i := range n.Entries {
+		n.Entries[i] = decodeEntry(buf[off:], d)
 		off += EntrySize(d)
 	}
 	return n, nil
@@ -278,30 +281,25 @@ func Decode(buf []byte, d int) (*Node, error) {
 // Route reads, straight out of the node image buf, the element that the
 // already-shifted key v addresses: the element at the row-major position
 // of the tuple (g(v_j, H_j))_j (Theorem 1). It returns the element's
-// pointer and whether that points to a directory node, and copies the
-// element's local depths h_j into h (len(h) ≥ len(v)). The header gets
-// Decode's checks, and every global depth must also satisfy H_j ≤ xi[j]
-// (xi[j] ≤ width), so hostile bytes yield an error, never a panic or an
-// out-of-range read. Nothing of buf is retained.
-func Route(buf []byte, v bitkey.Vector, width int, xi, h []int) (pagestore.PageID, bool, error) {
+// pointer, whether that points to a directory node, and its local depths.
+// The header gets Decode's checks, and every global depth must also
+// satisfy H_j ≤ xi[j] (xi[j] ≤ width), so hostile bytes yield an error,
+// never a panic or an out-of-range read. Nothing of buf is retained.
+func Route(buf []byte, v bitkey.Vector, width int, xi []int) (pagestore.PageID, bool, LocalDepths, error) {
 	d := len(v)
 	if _, err := entryCount(buf, d); err != nil {
-		return pagestore.NilPage, false, err
+		return pagestore.NilPage, false, LocalDepths{}, err
 	}
 	q := uint64(0)
 	for j := 0; j < d; j++ {
 		hj := int(buf[1+j])
 		if hj > xi[j] {
-			return pagestore.NilPage, false, fmt.Errorf("dirnode: depth H_%d = %d exceeds ξ = %d", j+1, hj, xi[j])
+			return pagestore.NilPage, false, LocalDepths{}, fmt.Errorf("dirnode: depth H_%d = %d exceeds ξ = %d", j+1, hj, xi[j])
 		}
 		q = q<<uint(hj) | bitkey.G(v[j], hj, width)
 	}
-	e := buf[HeaderSize(d)+int(q)*EntrySize(d):]
-	ptr, isNode := decodePtr(e)
-	for j := 0; j < d; j++ {
-		h[j] = int(e[4+j])
-	}
-	return ptr, isNode, nil
+	e := decodeEntry(buf[HeaderSize(d)+int(q)*EntrySize(d):], d)
+	return e.Ptr, e.IsNode, e.H, nil
 }
 
 // Validate checks node invariants: local depths within global depths, and
@@ -314,7 +312,7 @@ func (n *Node) Validate() error {
 	for q := range n.Entries {
 		e := &n.Entries[q]
 		for j := 0; j < n.d; j++ {
-			if e.H[j] < 0 || e.H[j] > n.Depths[j] {
+			if int(e.H[j]) > n.Depths[j] {
 				return fmt.Errorf("dirnode: entry %d local depth h_%d = %d out of range 0..H=%d", q, j+1, e.H[j], n.Depths[j])
 			}
 		}
@@ -326,10 +324,8 @@ func (n *Node) Validate() error {
 			if b.Ptr != e.Ptr || b.IsNode != e.IsNode {
 				return fmt.Errorf("dirnode: entries %d and %d should share pointer %d but differ", q, p, e.Ptr)
 			}
-			for j := 0; j < n.d; j++ {
-				if b.H[j] != e.H[j] {
-					return fmt.Errorf("dirnode: buddy entries %d,%d disagree on h_%d", q, p, j+1)
-				}
+			if b.H != e.H {
+				return fmt.Errorf("dirnode: buddy entries %d,%d disagree on local depths", q, p)
 			}
 		}
 	}

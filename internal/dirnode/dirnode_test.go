@@ -2,6 +2,7 @@ package dirnode
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -68,7 +69,7 @@ func TestBuddies(t *testing.T) {
 	q := n.Index([]uint64{2, 0})
 	e := &n.Entries[q]
 	e.Ptr = 42
-	e.H = []int{1, 0}
+	e.H = LocalDepths{1, 0}
 	buddies := n.Buddies(q)
 	if len(buddies) != 4 {
 		t.Fatalf("region size %d, want 4", len(buddies))
@@ -80,7 +81,7 @@ func TestBuddies(t *testing.T) {
 		}
 	}
 	// Full-depth region: only itself.
-	e.H = []int{2, 1}
+	e.H = LocalDepths{2, 1}
 	if got := n.Buddies(q); len(got) != 1 || got[0] != q {
 		t.Errorf("full-depth buddies = %v", got)
 	}
@@ -101,23 +102,23 @@ func randomNode(rng *rand.Rand, d int) *Node {
 			continue
 		}
 		// Pick local depths at most the global depths, aligned at q.
-		h := make([]int, d)
+		var h LocalDepths
 		idx := n.Tuple(q)
 		ok := true
 		for j := 0; j < d; j++ {
-			h[j] = rng.Intn(n.Depths[j] + 1)
-			shift := uint(n.Depths[j] - h[j])
+			h[j] = uint8(rng.Intn(n.Depths[j] + 1))
+			shift := uint(n.Depths[j] - int(h[j]))
 			if idx[j]>>shift<<shift != idx[j] {
 				ok = false
 			}
 		}
-		region := func(h []int) []int {
+		region := func(h LocalDepths) []int {
 			var cells []int
 			for p := 0; p < n.Size(); p++ {
 				pi := n.Tuple(p)
 				in := true
 				for j := 0; j < d; j++ {
-					shift := uint(n.Depths[j] - h[j])
+					shift := uint(n.Depths[j] - int(h[j]))
 					if pi[j]>>shift != idx[j]>>shift {
 						in = false
 						break
@@ -134,15 +135,17 @@ func randomNode(rng *rand.Rand, d int) *Node {
 			if !ok || n.Entries[p].Ptr != pagestore.NilPage {
 				// Misaligned or overlapping an earlier region: fall back to
 				// a singleton region.
-				h = append([]int(nil), n.Depths...)
+				for j := 0; j < d; j++ {
+					h[j] = uint8(n.Depths[j])
+				}
 				cells = region(h)
 				break
 			}
 		}
 		isNode := rng.Intn(2) == 0
-		m := rng.Intn(d)
+		m := uint8(rng.Intn(d))
 		for _, p := range cells {
-			n.Entries[p] = Entry{Ptr: ptr, IsNode: isNode, H: append([]int(nil), h...), M: m}
+			n.Entries[p] = Entry{Ptr: ptr, IsNode: isNode, H: h, M: m}
 		}
 		ptr++
 	}
@@ -173,14 +176,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			return false
 		}
 		for q := range n.Entries {
-			a, b := n.Entries[q], m.Entries[q]
-			if a.Ptr != b.Ptr || a.IsNode != b.IsNode || a.M != b.M {
+			if n.Entries[q] != m.Entries[q] {
 				return false
-			}
-			for j := 0; j < d; j++ {
-				if a.H[j] != b.H[j] {
-					return false
-				}
 			}
 		}
 		return true
@@ -192,7 +189,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestEncodeRejectsBadEntries(t *testing.T) {
 	n := New(2, 1)
-	n.Entries[0].H = []int{1, 0} // local depth above global depth 0
+	n.Entries[0].H = LocalDepths{1, 0} // local depth above global depth 0
 	buf := make([]byte, 256)
 	if _, err := n.Encode(buf); err == nil {
 		t.Fatal("Encode accepted h > H")
@@ -223,8 +220,8 @@ func TestDecodeRejectsCorruptHeader(t *testing.T) {
 func TestValidateCatchesBrokenRegions(t *testing.T) {
 	n := New(2, 1)
 	n.Double(0)
-	n.Entries[0] = Entry{Ptr: 5, H: []int{0, 0}, M: 0}
-	n.Entries[1] = Entry{Ptr: 6, H: []int{0, 0}, M: 0} // same region, different ptr
+	n.Entries[0] = Entry{Ptr: 5}
+	n.Entries[1] = Entry{Ptr: 6} // same region, different ptr
 	if err := n.Validate(); err == nil {
 		t.Fatal("Validate accepted inconsistent region")
 	}
@@ -251,7 +248,7 @@ func TestIORoundTrip(t *testing.T) {
 }
 
 func TestEntryCodecStandalone(t *testing.T) {
-	e := Entry{Ptr: 12345, IsNode: true, H: []int{3, 0, 7}, M: 2}
+	e := Entry{Ptr: 12345, IsNode: true, H: LocalDepths{3, 0, 7}, M: 2}
 	buf := make([]byte, EntrySize(3))
 	if err := EncodeEntry(buf, &e, 3); err != nil {
 		t.Fatal(err)
@@ -260,7 +257,7 @@ func TestEntryCodecStandalone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Ptr != e.Ptr || !got.IsNode || got.M != 2 || got.H[2] != 7 {
+	if got != e {
 		t.Fatalf("round trip: %+v", got)
 	}
 }
@@ -269,5 +266,101 @@ func TestPageBytes(t *testing.T) {
 	// φ = 6, d = 2: 3-byte header + 64 × 7-byte entries.
 	if got := PageBytes(2, 6); got != 3+64*7 {
 		t.Fatalf("PageBytes(2,6) = %d", got)
+	}
+}
+
+// fullNode returns a valid node of dimensionality 2 with 64 elements.
+func fullNode() *Node {
+	n := New(2, 2)
+	for i := 0; i < 6; i++ {
+		n.Double(i % 2)
+	}
+	for q := range n.Entries {
+		n.Entries[q].Ptr = pagestore.PageID(10 + q)
+		n.Entries[q].H = LocalDepths{3, 3}
+	}
+	return n
+}
+
+// TestCloneAndDecodeAllocs pins the cost of copying and decoding a node:
+// the node (with its depths) and one element array, whatever the node's
+// size.
+func TestCloneAndDecodeAllocs(t *testing.T) {
+	n := fullNode()
+	if err := n.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, PageBytes(2, 6))
+	if _, err := n.Encode(buf); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() { _ = n.Clone() }); a > 2 {
+		t.Errorf("Clone of a %d-element node: %.0f allocations, want ≤ 2", n.Size(), a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if _, err := Decode(buf, 2); err != nil {
+			t.Fatal(err)
+		}
+	}); a > 2 {
+		t.Errorf("Decode of a %d-element node: %.0f allocations, want ≤ 2", n.Size(), a)
+	}
+}
+
+// TestCloneIsIndependent mutates every part of a clone and checks that the
+// source still encodes to its original image.
+func TestCloneIsIndependent(t *testing.T) {
+	n := fullNode()
+	want := make([]byte, PageBytes(2, 6))
+	if _, err := n.Encode(want); err != nil {
+		t.Fatal(err)
+	}
+	c := n.Clone()
+	c.Level++
+	c.Depths[0]--
+	for q := range c.Entries {
+		e := &c.Entries[q]
+		e.Ptr++
+		e.H[0]--
+		e.H[1] = 0
+		e.IsNode = !e.IsNode
+		e.M = 1 - e.M
+	}
+	c.Double(1)
+	got := make([]byte, len(want))
+	if _, err := n.Encode(got); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatal("mutating a clone changed the source node")
+	}
+}
+
+// TestEntryHoldsNoPointer keeps Entry a plain value: an element array must
+// stay one allocation the garbage collector never scans, and a node copy
+// one slice copy.
+func TestEntryHoldsNoPointer(t *testing.T) {
+	var walk func(reflect.Type) bool
+	walk = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if walk(ty.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		case reflect.Array:
+			return walk(ty.Elem())
+		case reflect.Ptr, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func,
+			reflect.Interface, reflect.String, reflect.UnsafePointer:
+			return true
+		}
+		return false
+	}
+	if ty := reflect.TypeOf(Entry{}); walk(ty) {
+		t.Fatalf("%v holds a pointer", ty)
+	}
+	if s := reflect.TypeOf(Entry{}).Size(); s != 16 {
+		t.Errorf("Entry is %d bytes, want 16", s)
 	}
 }

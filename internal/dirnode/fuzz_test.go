@@ -9,7 +9,7 @@ import (
 
 // FuzzDecode hardens the node codec against arbitrary page images: Decode
 // must either return an error or a node whose shape is self-consistent —
-// never panic.
+// never panic — and whose valid elements encode back byte for byte.
 func FuzzDecode(f *testing.F) {
 	for _, d := range []int{1, 2, 3} {
 		n := randomNode(rand.New(rand.NewSource(int64(d))), d)
@@ -37,6 +37,19 @@ func FuzzDecode(f *testing.F) {
 		for q := 0; q < n.Size(); q++ {
 			if got := n.Index(n.Tuple(q)); got != q {
 				t.Fatalf("Index(Tuple(%d)) = %d", q, got)
+			}
+		}
+		// A decoded node that Encode accepts (every h_j ≤ H_j, m < d)
+		// encodes back to the very bytes it came from, and so does its
+		// clone.
+		for _, m := range []*Node{n, n.Clone()} {
+			out := make([]byte, len(data))
+			w, err := m.Encode(out)
+			if err != nil {
+				break
+			}
+			if string(out[:w]) != string(data[:w]) {
+				t.Fatalf("Encode(Decode(image)) differs from the image")
 			}
 		}
 	})
@@ -77,8 +90,7 @@ func FuzzRoute(f *testing.F) {
 			xi[j] = 8
 			v[j] = bitkey.Component((key >> uint(5*j)) & (1<<width - 1))
 		}
-		h := make([]int, d)
-		ptr, isNode, err := Route(data, v, width, xi, h)
+		ptr, isNode, h, err := Route(data, v, width, xi)
 		n, derr := Decode(data, d)
 		if derr != nil {
 			if err == nil {
@@ -102,13 +114,8 @@ func FuzzRoute(f *testing.F) {
 			idx[j] = bitkey.G(v[j], n.Depths[j], width)
 		}
 		e := n.Entries[n.Index(idx)]
-		if ptr != e.Ptr || isNode != e.IsNode {
-			t.Fatalf("Route = (%d, %v), Decode+Index = (%d, %v)", ptr, isNode, e.Ptr, e.IsNode)
-		}
-		for j := range h {
-			if h[j] != e.H[j] {
-				t.Fatalf("Route h = %v, Decode+Index h = %v", h, e.H)
-			}
+		if ptr != e.Ptr || isNode != e.IsNode || h != e.H {
+			t.Fatalf("Route = (%d, %v, %v), Decode+Index = (%d, %v, %v)", ptr, isNode, h, e.Ptr, e.IsNode, e.H)
 		}
 	})
 }

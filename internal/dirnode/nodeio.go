@@ -14,9 +14,9 @@ import (
 //
 // Over a store that serves zero-copy slices (pagestore.SliceReader — a
 // file store with a read view), Read decodes straight out of the store's
-// memory with no page copy; Decode fully copies every entry out of the
-// raw bytes, and Route copies out the one element it reads, so nothing
-// retains the slice past the call.
+// memory with no page copy; Decode copies every entry out of the raw
+// bytes, and Route copies out the one element it reads, so nothing
+// retains or writes the slice past the call.
 type IO struct {
 	st  pagestore.Store
 	sr  pagestore.SliceReader // non-nil: the zero-copy read path
@@ -53,18 +53,18 @@ func (io *IO) Read(id pagestore.PageID) (*Node, error) {
 // on its image for the shifted key v: the element is read in place, out
 // of the store's memory or the pooled copy, so a successful call
 // allocates nothing.
-func (io *IO) Route(id pagestore.PageID, v bitkey.Vector, width int, xi, h []int) (pagestore.PageID, bool, error) {
+func (io *IO) Route(id pagestore.PageID, v bitkey.Vector, width int, xi []int) (pagestore.PageID, bool, LocalDepths, error) {
 	bp := io.buf.Get().(*[]byte)
 	defer io.buf.Put(bp)
 	page, err := io.page(id, *bp)
 	if err != nil {
-		return pagestore.NilPage, false, err
+		return pagestore.NilPage, false, LocalDepths{}, err
 	}
-	ptr, isNode, err := Route(page, v, width, xi, h)
+	ptr, isNode, h, err := Route(page, v, width, xi)
 	if err != nil {
-		return pagestore.NilPage, false, fmt.Errorf("dirnode: routing through node page %d: %w", id, err)
+		return pagestore.NilPage, false, h, fmt.Errorf("dirnode: routing through node page %d: %w", id, err)
 	}
-	return ptr, isNode, nil
+	return ptr, isNode, h, nil
 }
 
 // page reads page id: the store's zero-copy window onto it, or buf (one

@@ -35,7 +35,7 @@ func (t *Table) Dump(w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "  element %d h=%v m=%d -> page %d (%d/%d records)\n",
-			q, e.H, e.M+1, e.Ptr, p.Len(), t.prm.Capacity)
+			q, e.H[:t.prm.Dims], e.M+1, e.Ptr, p.Len(), t.prm.Capacity)
 	}
 	fmt.Fprintf(w, "  %d regions, %d empty elements\n", regions, nilCells)
 	return nil
@@ -59,7 +59,7 @@ func (t *Table) DepthHistogram() string {
 		seen[e.Ptr] = true
 		s := 0
 		for _, h := range e.H {
-			s += h
+			s += int(h)
 		}
 		hist[s]++
 		if s > maxh {

@@ -103,7 +103,7 @@ func New(st pagestore.Store, prm params.Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	*e = dirnode.Entry{Ptr: pagestore.NilPage, H: make([]int, prm.Dims), M: prm.Dims - 1}
+	*e = dirnode.Entry{Ptr: pagestore.NilPage, M: uint8(prm.Dims - 1)}
 	op.markDirty(0)
 	return t, op.flush()
 }
@@ -201,8 +201,7 @@ func (t *Table) Insert(k bitkey.Vector, v uint64) error {
 			if err := t.pages.Write(id, p); err != nil {
 				return err
 			}
-			h := append([]int(nil), e.H...)
-			err = t.forRegion(op, idx, h, func(ent *dirnode.Entry) {
+			err = t.forRegion(op, idx, e.H, func(ent *dirnode.Entry) {
 				ent.Ptr = id
 				ent.IsNode = false
 			})
@@ -252,7 +251,7 @@ func (t *Table) split(op *dirOp, q uint64, idx []uint64, p *datapage.Page) (bool
 	if !ok {
 		return false, fmt.Errorf("mdeh: cannot split page: all %d dimensions exhausted at width %d", t.prm.Dims, t.prm.Width)
 	}
-	newh := e.H[m] + 1
+	newh := int(e.H[m]) + 1
 	if newh > t.depths[m] {
 		// Doubling rewrites every directory page: flush the op first, then
 		// let the caller restart the insertion against the deeper
@@ -266,8 +265,7 @@ func (t *Table) split(op *dirOp, q uint64, idx []uint64, p *datapage.Page) (bool
 		}
 		return true, nil
 	}
-	oldPtr := e.Ptr
-	oldH := append([]int(nil), e.H...)
+	oldPtr, oldH := e.Ptr, e.H
 	// Partition records by the new bit of dimension m into fresh
 	// copy-on-write pages; the old page is freed only after the directory
 	// update has been flushed, so a storage fault cannot lose records.
@@ -295,8 +293,8 @@ func (t *Table) split(op *dirOp, q uint64, idx []uint64, p *datapage.Page) (bool
 	// depth newh in dimension m and split dimension m.
 	shift := uint(t.depths[m] - newh)
 	err = t.forRegion(op, idx, oldH, func(ent *dirnode.Entry) {
-		ent.H[m] = newh
-		ent.M = m
+		ent.H[m] = uint8(newh)
+		ent.M = uint8(m)
 	})
 	if err != nil {
 		return false, err
@@ -324,8 +322,8 @@ func (t *Table) split(op *dirOp, q uint64, idx []uint64, p *datapage.Page) (bool
 func (t *Table) nextSplitDim(e *dirnode.Entry) (int, bool) {
 	d := t.prm.Dims
 	for step := 1; step <= d; step++ {
-		m := (e.M + step) % d
-		if e.H[m] < t.prm.Width {
+		m := (int(e.M) + step) % d
+		if int(e.H[m]) < t.prm.Width {
 			return m, true
 		}
 	}
@@ -334,17 +332,17 @@ func (t *Table) nextSplitDim(e *dirnode.Entry) (int, bool) {
 
 // forRegion applies fn to every element of the region containing tuple idx
 // at local depths h (the element itself included).
-func (t *Table) forRegion(op *dirOp, idx []uint64, h []int, fn func(*dirnode.Entry)) error {
+func (t *Table) forRegion(op *dirOp, idx []uint64, h dirnode.LocalDepths, fn func(*dirnode.Entry)) error {
 	return t.forRegionEach(op, idx, h, func(_ []uint64, e *dirnode.Entry) { fn(e) })
 }
 
 // forRegionEach is forRegion with the element's tuple index supplied.
-func (t *Table) forRegionEach(op *dirOp, idx []uint64, h []int, fn func([]uint64, *dirnode.Entry)) error {
+func (t *Table) forRegionEach(op *dirOp, idx []uint64, h dirnode.LocalDepths, fn func([]uint64, *dirnode.Entry)) error {
 	d := t.prm.Dims
 	base := make([]uint64, d)
 	count := make([]uint64, d)
 	for j := 0; j < d; j++ {
-		free := uint(t.depths[j] - h[j])
+		free := uint(t.depths[j] - int(h[j]))
 		base[j] = idx[j] >> free << free
 		count[j] = uint64(1) << free
 	}
@@ -400,7 +398,7 @@ func (t *Table) doubleDir(m int) error {
 		tuple := extarray.TupleCapped(q, t.caps)
 		tuple[m] >>= 1
 		src := extarray.AddressCapped(tuple, t.caps)
-		entries[q] = dirnode.CloneEntry(old[src])
+		entries[q] = old[src]
 	}
 	oldPages := t.dir.pages
 	oldDepth := t.depths[m]
@@ -461,8 +459,7 @@ func (t *Table) Delete(k bitkey.Vector) (bool, error) {
 		if err := t.pages.Free(e.Ptr); err != nil {
 			return false, err
 		}
-		h := append([]int(nil), e.H...)
-		err = t.forRegion(op, idx, h, func(ent *dirnode.Entry) { ent.Ptr = pagestore.NilPage })
+		err = t.forRegion(op, idx, e.H, func(ent *dirnode.Entry) { ent.Ptr = pagestore.NilPage })
 		if err != nil {
 			return false, err
 		}
@@ -490,22 +487,22 @@ func (t *Table) tryMerge(op *dirOp, idx []uint64, p *datapage.Page) error {
 		if err != nil {
 			return err
 		}
-		m := e.M
+		m := int(e.M)
 		if e.H[m] == 0 {
 			return nil
 		}
 		// Buddy region: flip bit h_m of dimension m.
 		buddy := append([]uint64(nil), idx...)
-		buddy[m] ^= uint64(1) << uint(t.depths[m]-e.H[m])
+		buddy[m] ^= uint64(1) << uint(t.depths[m]-int(e.H[m]))
 		bq := extarray.AddressCapped(buddy, t.caps)
 		be, err := op.get(bq)
 		if err != nil {
 			return err
 		}
-		if !sameDepths(e.H, be.H) || be.IsNode {
+		if e.H != be.H || be.IsNode {
 			return nil
 		}
-		mergedH := append([]int(nil), e.H...)
+		mergedH := e.H
 		mergedH[m]--
 		prevM := (m + t.prm.Dims - 1) % t.prm.Dims
 		switch {
@@ -513,10 +510,7 @@ func (t *Table) tryMerge(op *dirOp, idx []uint64, p *datapage.Page) error {
 			// Coarsen into the empty buddy region.
 			keep := e.Ptr
 			err = t.forRegion(op, idx, mergedH, func(ent *dirnode.Entry) {
-				ent.Ptr = keep
-				ent.IsNode = false
-				copy(ent.H, mergedH)
-				ent.M = prevM
+				*ent = dirnode.Entry{Ptr: keep, H: mergedH, M: uint8(prevM)}
 			})
 			if err != nil {
 				return err
@@ -542,10 +536,7 @@ func (t *Table) tryMerge(op *dirOp, idx []uint64, p *datapage.Page) error {
 				return err
 			}
 			err = t.forRegion(op, idx, mergedH, func(ent *dirnode.Entry) {
-				ent.Ptr = keep
-				ent.IsNode = false
-				copy(ent.H, mergedH)
-				ent.M = prevM
+				*ent = dirnode.Entry{Ptr: keep, H: mergedH, M: uint8(prevM)}
 			})
 			if err != nil {
 				return err
@@ -570,7 +561,7 @@ func (t *Table) contract() error {
 			return err
 		}
 		for i := range entries {
-			if entries[i].H[m] >= t.depths[m] {
+			if int(entries[i].H[m]) >= t.depths[m] {
 				return nil
 			}
 		}
@@ -582,7 +573,7 @@ func (t *Table) contract() error {
 		for q := uint64(0); q < newSize; q++ {
 			tuple := extarray.TupleCapped(q, t.caps)
 			tuple[m] <<= 1
-			out[q] = dirnode.CloneEntry(entries[extarray.AddressCapped(tuple, t.caps)])
+			out[q] = entries[extarray.AddressCapped(tuple, t.caps)]
 		}
 		if err := t.dir.shrinkTo(newSize); err != nil {
 			return err
@@ -658,21 +649,21 @@ func (t *Table) Validate() error {
 	if err != nil {
 		return err
 	}
-	seenPages := make(map[pagestore.PageID][]int)
+	seenPages := make(map[pagestore.PageID]dirnode.LocalDepths)
 	for q := range entries {
 		e := &entries[q]
 		for j := 0; j < t.prm.Dims; j++ {
-			if e.H[j] < 0 || e.H[j] > t.depths[j] {
+			if int(e.H[j]) > t.depths[j] {
 				return fmt.Errorf("mdeh: element %d local depth h_%d=%d out of range 0..%d", q, j+1, e.H[j], t.depths[j])
 			}
 		}
 		if e.Ptr == pagestore.NilPage {
 			continue
 		}
-		if prev, ok := seenPages[e.Ptr]; ok && !sameDepths(prev, e.H) {
+		if prev, ok := seenPages[e.Ptr]; ok && prev != e.H {
 			return fmt.Errorf("mdeh: page %d shared by elements with differing local depths", e.Ptr)
 		}
-		seenPages[e.Ptr] = append([]int(nil), e.H...)
+		seenPages[e.Ptr] = e.H
 		p, err := t.pages.Read(e.Ptr)
 		if err != nil {
 			return err
@@ -683,8 +674,8 @@ func (t *Table) Validate() error {
 		tuple := extarray.TupleCapped(uint64(q), t.caps)
 		for _, r := range p.Records() {
 			for j := 0; j < t.prm.Dims; j++ {
-				want := tuple[j] >> uint(t.depths[j]-e.H[j])
-				got := bitkey.G(r.Key[j], e.H[j], t.prm.Width)
+				want := tuple[j] >> uint(t.depths[j]-int(e.H[j]))
+				got := bitkey.G(r.Key[j], int(e.H[j]), t.prm.Width)
 				if got != want {
 					return fmt.Errorf("mdeh: record %v misplaced in page %d (dim %d: prefix %d, want %d)", r.Key, e.Ptr, j+1, got, want)
 				}
@@ -706,18 +697,6 @@ func (t *Table) checkKey(k bitkey.Vector) error {
 		}
 	}
 	return nil
-}
-
-func sameDepths(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func inBox(k, lo, hi bitkey.Vector) bool {

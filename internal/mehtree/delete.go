@@ -30,7 +30,7 @@ func (t *Tree) Delete(k bitkey.Vector) (bool, error) {
 		if e.IsNode {
 			stack = append(stack, frame{id: id, node: node})
 			for j := 0; j < d; j++ {
-				vec[j] = bitkey.LeftShift(vec[j], e.H[j], t.prm.Width)
+				vec[j] = bitkey.LeftShift(vec[j], int(e.H[j]), t.prm.Width)
 			}
 			id = e.Ptr
 			var err error
@@ -83,19 +83,19 @@ func (t *Tree) mergePages(node *dirnode.Node, q int) error {
 		if e.Ptr == pagestore.NilPage || e.IsNode {
 			return nil
 		}
-		m := e.M
+		m := int(e.M)
 		if e.H[m] == 0 {
 			return nil
 		}
 		idx := node.Tuple(q)
 		bidx := append([]uint64(nil), idx...)
-		bidx[m] ^= uint64(1) << uint(node.Depths[m]-e.H[m])
+		bidx[m] ^= uint64(1) << uint(node.Depths[m]-int(e.H[m]))
 		bq := node.Index(bidx)
 		be := node.Entries[bq]
-		if be.IsNode || !sameInts(be.H, e.H) || be.Ptr == e.Ptr {
+		if be.IsNode || be.H != e.H || be.Ptr == e.Ptr {
 			return nil
 		}
-		mergedH := append([]int(nil), e.H...)
+		mergedH := e.H
 		mergedH[m]--
 		prevM := (m + t.prm.Dims - 1) % t.prm.Dims
 		switch {
@@ -130,10 +130,10 @@ func (t *Tree) mergePages(node *dirnode.Node, q int) error {
 	}
 }
 
-func inRegion(node *dirnode.Node, i, q int, h []int) bool {
+func inRegion(node *dirnode.Node, i, q int, h dirnode.LocalDepths) bool {
 	ti, tq := node.Tuple(i), node.Tuple(q)
 	for j := 0; j < node.Dims(); j++ {
-		shift := uint(node.Depths[j] - h[j])
+		shift := uint(node.Depths[j] - int(h[j]))
 		if ti[j]>>shift != tq[j]>>shift {
 			return false
 		}
@@ -141,14 +141,10 @@ func inRegion(node *dirnode.Node, i, q int, h []int) bool {
 	return true
 }
 
-func coarsenRegion(node *dirnode.Node, q int, h []int, ptr pagestore.PageID, isNode bool, m int) {
+func coarsenRegion(node *dirnode.Node, q int, h dirnode.LocalDepths, ptr pagestore.PageID, isNode bool, m int) {
 	for i := range node.Entries {
 		if inRegion(node, i, q, h) {
-			en := &node.Entries[i]
-			en.Ptr = ptr
-			en.IsNode = isNode
-			copy(en.H, h)
-			en.M = m
+			node.Entries[i] = dirnode.Entry{Ptr: ptr, IsNode: isNode, H: h, M: uint8(m)}
 		}
 	}
 }
@@ -164,7 +160,7 @@ func (t *Tree) shrinkNode(node *dirnode.Node) {
 			}
 			needed := false
 			for i := range node.Entries {
-				if node.Entries[i].H[m] == node.Depths[m] && node.Entries[i].Ptr != pagestore.NilPage {
+				if int(node.Entries[i].H[m]) == node.Depths[m] && node.Entries[i].Ptr != pagestore.NilPage {
 					needed = true
 					break
 				}
@@ -197,9 +193,9 @@ func undouble(node *dirnode.Node, m int) {
 		idx := node.Tuple(q)
 		src := append([]uint64(nil), idx...)
 		src[m] <<= 1
-		e := dirnode.CloneEntry(old[oldIndex(src)])
-		if e.H[m] > node.Depths[m] {
-			e.H[m] = node.Depths[m]
+		e := old[oldIndex(src)]
+		if int(e.H[m]) > node.Depths[m] {
+			e.H[m] = uint8(node.Depths[m])
 		}
 		node.Entries[q] = e
 	}
@@ -306,14 +302,15 @@ func (t *Tree) Range(lo, hi bitkey.Vector, fn func(k bitkey.Vector, v uint64) bo
 					clo := make(bitkey.Vector, d)
 					chi := make(bitkey.Vector, d)
 					for j := 0; j < d; j++ {
-						regionPrefix := idx[j] >> uint(n.Depths[j]-e.H[j])
-						if bitkey.G(vlo[j], e.H[j], t.prm.Width) == regionPrefix {
-							clo[j] = bitkey.LeftShift(vlo[j], e.H[j], t.prm.Width)
+						hj := int(e.H[j])
+						regionPrefix := idx[j] >> uint(n.Depths[j]-hj)
+						if bitkey.G(vlo[j], hj, t.prm.Width) == regionPrefix {
+							clo[j] = bitkey.LeftShift(vlo[j], hj, t.prm.Width)
 						} else {
 							clo[j] = 0
 						}
-						if bitkey.G(vhi[j], e.H[j], t.prm.Width) == regionPrefix {
-							chi[j] = bitkey.LeftShift(vhi[j], e.H[j], t.prm.Width)
+						if bitkey.G(vhi[j], hj, t.prm.Width) == regionPrefix {
+							chi[j] = bitkey.LeftShift(vhi[j], hj, t.prm.Width)
 						} else {
 							chi[j] = full
 						}

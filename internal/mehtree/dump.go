@@ -25,7 +25,7 @@ func (t *Tree) Dump(w io.Writer) error {
 			printed[e.Ptr] = true
 			idx := n.Tuple(q)
 			if e.IsNode {
-				fmt.Fprintf(w, "%s  cell %v h=%v m=%d -> node %d\n", indent, idx, e.H, e.M+1, e.Ptr)
+				fmt.Fprintf(w, "%s  cell %v h=%v m=%d -> node %d\n", indent, idx, e.H[:n.Dims()], e.M+1, e.Ptr)
 				c, err := t.readNode(e.Ptr)
 				if err != nil {
 					return err
@@ -40,7 +40,7 @@ func (t *Tree) Dump(w io.Writer) error {
 				return err
 			}
 			fmt.Fprintf(w, "%s  cell %v h=%v m=%d -> page %d (%d/%d records)\n",
-				indent, idx, e.H, e.M+1, e.Ptr, p.Len(), t.prm.Capacity)
+				indent, idx, e.H[:n.Dims()], e.M+1, e.Ptr, p.Len(), t.prm.Capacity)
 		}
 		return nil
 	}

@@ -144,7 +144,7 @@ func (t *Tree) Search(k bitkey.Vector) (uint64, bool, error) {
 			return val, ok, nil
 		}
 		for j := 0; j < t.prm.Dims; j++ {
-			v[j] = bitkey.LeftShift(v[j], e.H[j], t.prm.Width)
+			v[j] = bitkey.LeftShift(v[j], int(e.H[j]), t.prm.Width)
 		}
 		var err error
 		node, err = t.readNode(e.Ptr)
@@ -183,8 +183,8 @@ func (t *Tree) tryInsert(k bitkey.Vector, v uint64) (bool, error) {
 		e := &node.Entries[q]
 		if e.Ptr != pagestore.NilPage && e.IsNode {
 			for j := 0; j < d; j++ {
-				strip[j] += e.H[j]
-				vec[j] = bitkey.LeftShift(vec[j], e.H[j], t.prm.Width)
+				strip[j] += int(e.H[j])
+				vec[j] = bitkey.LeftShift(vec[j], int(e.H[j]), t.prm.Width)
 			}
 			id = e.Ptr
 			var err error
@@ -204,16 +204,13 @@ func (t *Tree) tryInsert(k bitkey.Vector, v uint64) (bool, error) {
 			if err := t.pages.Write(pid, p); err != nil {
 				return false, err
 			}
-			h, em := append([]int(nil), e.H...), e.M
+			h, em := e.H, e.M
 			for _, b := range node.Buddies(q) {
 				en := &node.Entries[b]
 				if en.Ptr != pagestore.NilPage {
 					continue
 				}
-				en.Ptr = pid
-				en.IsNode = false
-				copy(en.H, h)
-				en.M = em
+				*en = dirnode.Entry{Ptr: pid, H: h, M: em}
 			}
 			if err := t.writeNode(id, node); err != nil {
 				return false, err
@@ -250,7 +247,7 @@ func (t *Tree) restructure(id pagestore.PageID, node *dirnode.Node, q int, strip
 	if !ok {
 		return fmt.Errorf("mehtree: cannot split page: all dimensions exhausted at width %d", t.prm.Width)
 	}
-	newh := e.H[m] + 1
+	newh := int(e.H[m]) + 1
 	if newh > node.Depths[m] {
 		if node.Depths[m] < t.prm.Xi[m] {
 			node.Double(m)
@@ -265,17 +262,17 @@ func (t *Tree) restructure(id pagestore.PageID, node *dirnode.Node, q int, strip
 		}
 		t.nNodes++
 		child := dirnode.New(t.prm.Dims, node.Level+1)
-		child.Entries[0] = dirnode.Entry{Ptr: e.Ptr, IsNode: false, H: make([]int, t.prm.Dims), M: e.M}
+		child.Entries[0] = dirnode.Entry{Ptr: e.Ptr, M: e.M}
 		if err := t.nodes.Write(cid, child); err != nil {
 			return err
 		}
 		if node.Level+1 > t.depth {
 			t.depth = node.Level + 1
 		}
-		oldPtr, oldH := e.Ptr, append([]int(nil), e.H...)
+		oldPtr, oldH := e.Ptr, e.H
 		for i := range node.Entries {
 			en := &node.Entries[i]
-			if en.Ptr == oldPtr && !en.IsNode && sameInts(en.H, oldH) {
+			if en.Ptr == oldPtr && !en.IsNode && en.H == oldH {
 				en.Ptr = cid
 				en.IsNode = true
 			}
@@ -286,8 +283,7 @@ func (t *Tree) restructure(id pagestore.PageID, node *dirnode.Node, q int, strip
 	// The halves go to fresh copy-on-write pages; the node write commits
 	// and the old page is freed afterwards, so a storage fault cannot lose
 	// acknowledged records.
-	oldPtr := e.Ptr
-	oldH := append([]int(nil), e.H...)
+	oldPtr, oldH := e.Ptr, e.H
 	ones := p.PartitionByBit(m, strip[m]+newh, t.prm.Width)
 	writeHalf := func(half *datapage.Page) (pagestore.PageID, error) {
 		if half.Len() == 0 {
@@ -310,7 +306,7 @@ func (t *Tree) restructure(id pagestore.PageID, node *dirnode.Node, q int, strip
 	shift := uint(node.Depths[m] - newh)
 	for i := range node.Entries {
 		en := &node.Entries[i]
-		if en.Ptr != oldPtr || en.IsNode || !sameInts(en.H, oldH) {
+		if en.Ptr != oldPtr || en.IsNode || en.H != oldH {
 			continue
 		}
 		idx := node.Tuple(i)
@@ -319,8 +315,8 @@ func (t *Tree) restructure(id pagestore.PageID, node *dirnode.Node, q int, strip
 		} else {
 			en.Ptr = po
 		}
-		en.H[m] = newh
-		en.M = m
+		en.H[m] = uint8(newh)
+		en.M = uint8(m)
 	}
 	if err := t.writeNode(id, node); err != nil {
 		return err
@@ -331,8 +327,8 @@ func (t *Tree) restructure(id pagestore.PageID, node *dirnode.Node, q int, strip
 func (t *Tree) nextSplitDim(e *dirnode.Entry, strip []int) (int, bool) {
 	d := t.prm.Dims
 	for step := 1; step <= d; step++ {
-		m := (e.M + step) % d
-		if strip[m]+e.H[m] < t.prm.Width {
+		m := (int(e.M) + step) % d
+		if strip[m]+int(e.H[m]) < t.prm.Width {
 			return m, true
 		}
 	}
@@ -351,18 +347,6 @@ func (t *Tree) checkKey(k bitkey.Vector) error {
 		}
 	}
 	return nil
-}
-
-func sameInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Params returns the tree's configuration.

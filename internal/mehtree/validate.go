@@ -34,7 +34,7 @@ func (t *Tree) Validate() error {
 			idx := n.Tuple(q)
 			rep := true
 			for j := 0; j < t.prm.Dims; j++ {
-				shift := uint(n.Depths[j] - e.H[j])
+				shift := uint(n.Depths[j] - int(e.H[j]))
 				if idx[j] != idx[j]>>shift<<shift {
 					rep = false
 					break
@@ -46,11 +46,12 @@ func (t *Tree) Validate() error {
 			cp := prefix.Clone()
 			cs := append([]int(nil), strip...)
 			for j := 0; j < t.prm.Dims; j++ {
-				hb := idx[j] >> uint(n.Depths[j]-e.H[j])
-				if e.H[j] > 0 {
-					cp[j] |= bitkey.Component(hb) << uint(t.prm.Width-cs[j]-e.H[j])
+				hj := int(e.H[j])
+				hb := idx[j] >> uint(n.Depths[j]-hj)
+				if hj > 0 {
+					cp[j] |= bitkey.Component(hb) << uint(t.prm.Width-cs[j]-hj)
 				}
-				cs[j] += e.H[j]
+				cs[j] += hj
 			}
 			if e.IsNode {
 				if seenNodes[e.Ptr] {

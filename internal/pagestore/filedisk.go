@@ -72,6 +72,7 @@ type FileDisk struct {
 	freeHead  PageID
 	kinds     []Kind            // persisted in each slot's trailer
 	dirty     map[PageID][]byte // staged page images awaiting Sync
+	zero      []byte            // the one all-zero image every fresh page stages
 	meta      []byte            // client meta record (staged + cached)
 	metaDirty bool
 	stats     Stats
@@ -150,6 +151,7 @@ func CreateFileDiskFiles(main, walFile File, pageSize int) (*FileDisk, error) {
 		freeHead:  NilPage,
 		kinds:     []Kind{KindMeta},
 		dirty:     make(map[PageID][]byte),
+		zero:      make([]byte, pageSize),
 		metaDirty: true,
 	}
 	// The initial commit writes the meta page through the WAL like any
@@ -260,6 +262,7 @@ func OpenFileDiskFiles(main, walFile File) (*FileDisk, error) {
 		pageCount: binary.BigEndian.Uint32(hdr[16:20]),
 		freeHead:  PageID(binary.BigEndian.Uint32(hdr[20:24])),
 		dirty:     make(map[PageID][]byte),
+		zero:      make([]byte, pageSize),
 		recovered: recovered,
 		commitSeq: uint64(binary.BigEndian.Uint32(hdr[28:32])),
 	}
@@ -544,7 +547,10 @@ func (d *FileDisk) Alloc(kind Kind) (PageID, error) {
 		d.kinds = append(d.kinds, KindFree)
 	}
 	d.kinds[id] = kind
-	d.dirty[id] = make([]byte, d.pageSize)
+	// A fresh page reads as zeros until its first Write replaces the
+	// staged image; staged images are never written in place, so every
+	// fresh page can share one.
+	d.dirty[id] = d.zero
 	d.metaDirty = true
 	return id, nil
 }
@@ -868,8 +874,8 @@ func (d *FileDisk) commitLocked(seq uint64) error {
 	// The hook fires after the WAL reset, i.e. after the checkpoint
 	// barrier: by the time a subscriber sees the batch it is already home
 	// in the main file, so nothing the subscriber does can race the
-	// truncation. The frames are fresh allocations (the dirty map was
-	// just replaced), so the hook may keep them.
+	// truncation. The dirty map was just replaced, so the hook may keep
+	// the frames; it must not write them (fresh pages share one image).
 	if d.hook != nil {
 		d.hook(seq, frames)
 	}

@@ -130,6 +130,59 @@ func TestFileDiskReadAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestFileDiskAllocStagesNoBuffer pins the page buffers a fresh page
+// costs: Alloc stages the store's shared zero image, so Alloc plus the
+// Write that follows copies the page once, not twice. The fresh page still
+// reads as zeros until it is written, and writing it leaves the shared
+// image zero.
+func TestFileDiskAllocStagesNoBuffer(t *testing.T) {
+	d, err := CreateFileDiskFiles(NewMemFile(), NewMemFile(), 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	data := bytes.Repeat([]byte{0xA5}, 128)
+	allocs := testing.AllocsPerRun(1000, func() {
+		id, err := d.Alloc(KindData)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Write(id, data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("Alloc+Write makes %v allocations, want 1 (the written image)", allocs)
+	}
+	a, err := d.Alloc(KindData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := d.Alloc(KindData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Write(a, data); err != nil {
+		t.Fatal(err)
+	}
+	zero, buf := make([]byte, 128), make([]byte, 128)
+	for _, synced := range []bool{false, true} {
+		if synced {
+			if err := d.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for id, want := range map[PageID][]byte{a: data, b: zero} {
+			if err := d.Read(id, buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, want) {
+				t.Fatalf("page %d reads %x…, want %x… (synced %v)", id, buf[:4], want[:4], synced)
+			}
+		}
+	}
+}
+
 // halvesFile writes every WriteAt in two halves with a pause between
 // them, so a concurrent reader can catch a slot half old, half new.
 type halvesFile struct{ *MemFile }

@@ -57,10 +57,12 @@ func viewOf(f File) sliceView {
 
 // SliceReader is implemented by stores that can serve a page read without
 // copying it. ReadSlice returns the page's current image, exactly
-// PageSize bytes and read-only by convention: a window straight onto the
-// store's memory when there is one (a staged image, or a committed slot
-// inside the file's read view), otherwise the page read into buf, which
-// must hold PageSize bytes. Counts one disk read.
+// PageSize bytes: a window straight onto the store's memory when there is
+// one (a staged image, or a committed slot inside the file's read view),
+// otherwise the page read into buf, which must hold PageSize bytes.
+// Counts one disk read. Callers never write to the result: the view is
+// mapped read-only, and staged images are shared (every freshly
+// allocated page stages the same zero image).
 //
 // Lifetime discipline (see DESIGN.md): a window's *contents* are stable
 // until the next commit that rewrites the page — under the index's

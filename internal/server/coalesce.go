@@ -89,21 +89,30 @@ func (co *coalescer) run() {
 }
 
 // gather adds queued requests to batch until the commit window closes or
-// the batch is full. The second result is false once the channel has
-// closed.
+// the batch is full. A request already queued always joins: the window
+// only ends the wait for requests yet to come, so a batch never closes
+// short of the cap while requests sit in the channel, however late the
+// queue's goroutine runs. The second result is false once the channel
+// has closed.
 func (co *coalescer) gather(batch []writeReq) ([]writeReq, bool) {
 	t := time.NewTimer(commitWindow)
 	defer t.Stop()
 	for len(batch) < maxBatch {
+		var r writeReq
+		var ok bool
 		select {
-		case r, ok := <-co.ch:
-			if !ok {
-				return batch, false
+		case r, ok = <-co.ch:
+		default:
+			select {
+			case r, ok = <-co.ch:
+			case <-t.C:
+				return batch, true
 			}
-			batch = append(batch, r)
-		case <-t.C:
-			return batch, true
 		}
+		if !ok {
+			return batch, false
+		}
+		batch = append(batch, r)
 	}
 	return batch, true
 }

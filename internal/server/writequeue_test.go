@@ -136,9 +136,10 @@ func TestWriteQueueSharesOneCommit(t *testing.T) {
 
 	// Park the queue inside one request's answer, so that the next batch
 	// forms from what is queued meanwhile: maxBatch requests fill it to
-	// the cap, and it closes without waiting out the window. Hold that
-	// batch's commit; everything queued after it waits for the next one.
-	// The batch writes one key, so that its commit is not empty.
+	// the cap (queued requests always join, however late the queue runs
+	// against its window). Hold that batch's commit; everything queued
+	// after it waits for the next one. The batch writes one key, so that
+	// its commit is not empty.
 	parked, unpark := make(chan struct{}), make(chan struct{})
 	s.co.enqueue(writeReq{done: func([]bool, error) {
 		close(parked)
@@ -161,7 +162,6 @@ func TestWriteQueueSharesOneCommit(t *testing.T) {
 		}})
 	}
 	close(unpark)
-	waitFor(t, "the held batch to take its requests", func() bool { return len(s.co.ch) == 0 })
 
 	put := cls[0].PutAsync(bmeh.Key{2, 2}, 2)
 	dupPut := cls[1].PutAsync(bmeh.Key{1, 1}, 9)
@@ -179,7 +179,9 @@ func TestWriteQueueSharesOneCommit(t *testing.T) {
 		batchDone <- batchResult{n, err}
 	}()
 	go func() { syncDone <- cls[3].Sync() }()
-	waitFor(t, "four queued requests", func() bool { return len(s.co.ch) == 4 })
+	// The channel is FIFO, so the held batch takes exactly the maxBatch
+	// requests ahead of these four; four left queued means it has.
+	waitFor(t, "the held batch to take its requests and four more to queue", func() bool { return len(s.co.ch) == 4 })
 	release()
 
 	if err := put.Wait(); err != nil {
