@@ -687,8 +687,8 @@ func (ix *Index) Delete(k Key) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	// Like Insert: the BMEH core's delete path synchronizes itself (fast
-	// crabbing path, escalating internally for restructurings).
+	// Like Insert: the BMEH core's delete synchronizes itself (it takes
+	// the tree's writer gate exclusively and descends once).
 	lock, unlock := ix.mu.Lock, ix.mu.Unlock
 	if ix.scheme == SchemeBMEH {
 		lock, unlock = ix.mu.RLock, ix.mu.RUnlock

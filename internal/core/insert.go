@@ -15,7 +15,8 @@ import (
 // and exists only to turn an invariant bug into an error instead of a hang.
 const maxRestructures = 1 << 14
 
-// frame is one level of the descent stack of algorithm BMEH_Insert.
+// frame is one level of the descent stack of algorithm BMEH_Insert (and of
+// Delete, which walks it back up).
 type frame struct {
 	id   pagestore.PageID
 	node *dirnode.Node

@@ -71,12 +71,12 @@ func (lt *latchTable) ofSlow(i int) *latch.Latch {
 // heldLatch records one latch held by a descent, with enough identity to
 // skip re-acquisition and to release selectively.
 type heldLatch struct {
-	id     pagestore.PageID
-	l      *latch.Latch
-	shared bool
+	id pagestore.PageID
+	l  *latch.Latch
 }
 
-// latchSet is the ordered list of latches a single descent holds, outermost
+// latchSet is the ordered list of exclusive latches a single insert descent
+// holds, outermost
 // first. It lives inside the pooled descentCtx so steady-state descents do
 // not allocate: the held slice is reset to length zero between descents and
 // its backing array is reused.
@@ -96,7 +96,7 @@ func (ls *latchSet) holds(id pagestore.PageID) bool {
 }
 
 // lock acquires the latch for id exclusively at the given rank, unless the
-// set already holds it (in any mode), and records the hold.
+// set already holds it, and records the hold.
 func (ls *latchSet) lock(id pagestore.PageID, rank int) {
 	if ls.holds(id) {
 		return
@@ -104,17 +104,6 @@ func (ls *latchSet) lock(id pagestore.PageID, rank int) {
 	l := ls.t.latches.of(id)
 	l.Lock(rank)
 	ls.held = append(ls.held, heldLatch{id: id, l: l})
-}
-
-// rlock acquires the latch for id shared at the given rank, unless the set
-// already holds it, and records the hold.
-func (ls *latchSet) rlock(id pagestore.PageID, rank int) {
-	if ls.holds(id) {
-		return
-	}
-	l := ls.t.latches.of(id)
-	l.RLock(rank)
-	ls.held = append(ls.held, heldLatch{id: id, l: l, shared: true})
 }
 
 // releaseAllExcept releases every held latch except the one for keep. The
@@ -127,11 +116,7 @@ func (ls *latchSet) releaseAllExcept(keep pagestore.PageID) {
 			kept = append(kept, h)
 			continue
 		}
-		if h.shared {
-			h.l.RUnlock()
-		} else {
-			h.l.Unlock()
-		}
+		h.l.Unlock()
 	}
 	ls.held = kept
 }
@@ -139,12 +124,7 @@ func (ls *latchSet) releaseAllExcept(keep pagestore.PageID) {
 // releaseAll releases every held latch, innermost first.
 func (ls *latchSet) releaseAll() {
 	for i := len(ls.held) - 1; i >= 0; i-- {
-		h := ls.held[i]
-		if h.shared {
-			h.l.RUnlock()
-		} else {
-			h.l.Unlock()
-		}
+		ls.held[i].l.Unlock()
 	}
 	ls.held = ls.held[:0]
 }

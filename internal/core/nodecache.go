@@ -67,13 +67,15 @@ type objCacheStats struct {
 // waits out a full goroutine wake-up for a section of nanoseconds.
 type objShard[V any] struct {
 	mu sync.Mutex
-	m  map[pagestore.PageID]*objEntry[V]
+	m  map[pagestore.PageID]objEntry[V]
 }
 
-// objEntry wraps a cached object with its second-chance reference bit.
+// objEntry is a cached object with its second-chance reference bit. The
+// map holds entries by value, guarded by the shard lock, so installing an
+// object allocates nothing beyond the map's own growth.
 type objEntry[V any] struct {
 	val V
-	ref atomic.Bool
+	ref bool
 }
 
 // objCache is a sharded, capacity-bounded map from PageID to a decoded
@@ -93,7 +95,7 @@ type objCache[V any] struct {
 func newObjCache[V any](capacity int) *objCache[V] {
 	c := &objCache[V]{perShard: (capacity + objCacheShards - 1) / objCacheShards}
 	for i := range c.shards {
-		c.shards[i].m = make(map[pagestore.PageID]*objEntry[V])
+		c.shards[i].m = make(map[pagestore.PageID]objEntry[V])
 	}
 	return c
 }
@@ -111,9 +113,7 @@ func (c *objCache[V]) get(id pagestore.PageID) (V, bool) {
 // lookup is get that also reports, on a miss, whether id's shard has a
 // free slot, read under the same lock acquisition: a read-only descent
 // decides between installing a decode and reading page bytes with one
-// lock and one counted miss. The value is copied out under the shard
-// lock: put replaces an existing entry's val in place, so reading it
-// after unlock would race.
+// lock and one counted miss.
 func (c *objCache[V]) lookup(id pagestore.PageID) (v V, hit, room bool) {
 	if c.perShard == 0 {
 		c.misses.Add(1)
@@ -123,7 +123,9 @@ func (c *objCache[V]) lookup(id pagestore.PageID) (v V, hit, room bool) {
 	s.mu.Lock()
 	e, hit := s.m[id]
 	if hit {
-		e.ref.Store(true)
+		if !e.ref {
+			s.m[id] = objEntry[V]{val: e.val, ref: true}
+		}
 		v = e.val
 	} else {
 		room = len(s.m) < c.perShard
@@ -146,14 +148,13 @@ func (c *objCache[V]) evictOneLocked(s *objShard[V]) {
 	var last pagestore.PageID
 	for k, e := range s.m {
 		last = k
-		if e.ref.CompareAndSwap(true, false) {
-			continue // recently used: spend its second chance
+		if e.ref {
+			s.m[k] = objEntry[V]{val: e.val} // spend its second chance
+			continue
 		}
-		delete(s.m, k)
-		c.evicts.Add(1)
-		return
+		break
 	}
-	// Every entry was hot: evict the last seen.
+	// last is the first cold entry, or the last one seen if all were hot.
 	delete(s.m, last)
 	c.evicts.Add(1)
 }
@@ -167,18 +168,10 @@ func (c *objCache[V]) put(id pagestore.PageID, v V) {
 	}
 	s := c.shard(id)
 	s.mu.Lock()
-	if e, ok := s.m[id]; ok {
-		e.val = v
-		e.ref.Store(true)
-		s.mu.Unlock()
-		return
-	}
-	if len(s.m) >= c.perShard {
+	if _, ok := s.m[id]; !ok && len(s.m) >= c.perShard {
 		c.evictOneLocked(s)
 	}
-	e := &objEntry[V]{val: v}
-	e.ref.Store(true)
-	s.m[id] = e
+	s.m[id] = objEntry[V]{val: v, ref: true}
 	s.mu.Unlock()
 }
 
@@ -195,11 +188,11 @@ func (c *objCache[V]) putIfAbsent(id pagestore.PageID, v V) {
 	s := c.shard(id)
 	s.mu.Lock()
 	if e, ok := s.m[id]; ok {
-		e.ref.Store(true)
+		if !e.ref {
+			s.m[id] = objEntry[V]{val: e.val, ref: true}
+		}
 	} else if len(s.m) < c.perShard {
-		e := &objEntry[V]{val: v}
-		e.ref.Store(true)
-		s.m[id] = e
+		s.m[id] = objEntry[V]{val: v, ref: true}
 	}
 	s.mu.Unlock()
 }

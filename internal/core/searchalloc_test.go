@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bmeh/internal/latch"
+	"bmeh/internal/pagestore"
 )
 
 // TestSearchMissAllocatesNothing pins the in-place read path: with the
@@ -43,5 +44,29 @@ func TestSearchMissAllocatesNothing(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPutIntoFullShardAllocatesNothing pins the write-commit install of a
+// decoded object: under copy-on-write every commit lands on a fresh page
+// id, and putting a fresh id into a full cache shard reuses the entry it
+// evicts instead of allocating one.
+func TestPutIntoFullShardAllocatesNothing(t *testing.T) {
+	const perShard = 4
+	c := newObjCache[*int](perShard * objCacheShards)
+	v := new(int)
+	next := pagestore.PageID(0)
+	put := func() {
+		c.put(next, v) // every id lands in shard 0
+		next += objCacheShards
+	}
+	for i := 0; i < perShard; i++ {
+		put()
+	}
+	if allocs := testing.AllocsPerRun(1000, put); allocs != 0 {
+		t.Fatalf("a put into a full shard makes %.0f allocations, want 0", allocs)
+	}
+	if n := c.len(); n != perShard {
+		t.Fatalf("cache holds %d entries, want %d", n, perShard)
 	}
 }

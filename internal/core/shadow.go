@@ -31,8 +31,9 @@ import (
 //
 // The mode is exclusive-writer: Insert/Delete take wgate's write side, so
 // the shadow state is single-threaded by construction. The in-place
-// insert commit, the delete fast path and the structVer-retry split dance
-// are simply never taken.
+// insert commit and the structVer-retry split dance are simply never
+// taken. Delete runs the latched mode's descent unchanged (it is a single
+// writer in both modes); the shadow only wraps it (see Delete).
 //
 // Namespace discipline: the restructuring algorithms (insert.go,
 // delete.go) keep running on the ids stored in directory entries — the
@@ -525,23 +526,6 @@ func (t *Tree) insertCOW(k bitkey.Vector, v uint64) error {
 	}
 	t.abortShadow()
 	return fmt.Errorf("bmeh: insertion did not converge after %d restructurings", maxRestructures)
-}
-
-// deleteCOW is the copy-on-write Delete: the full reversal algorithm runs
-// shadowed as the sole writer (it takes no latches, like the latched
-// mode's escalated path), then commits with the root swap.
-func (t *Tree) deleteCOW(k bitkey.Vector) (bool, error) {
-	t.wgate.Lock()
-	defer t.wgate.Unlock()
-	t.structMu.Lock()
-	defer t.structMu.Unlock()
-	t.beginShadow()
-	deleted, err := t.deleteLocked(k)
-	if err != nil {
-		t.abortShadow()
-		return deleted, err
-	}
-	return deleted, t.commitShadow()
 }
 
 // ErrSnapshotMode is returned by Snapshot on a tree not in COW mode.

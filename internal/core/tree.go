@@ -24,16 +24,16 @@
 //
 //	wgate → structMu → node latches (root→leaf) → page latches
 //
-// wgate is the writer gate: plain writers hold it shared for the duration
-// of one operation; a delete that must restructure (merge/shrink/collapse)
-// escalates to the exclusive side, stopping all writers. structMu serializes
-// structure changes (splits and the readers that cannot tolerate them) and
-// is only ever Try-acquired while latches are held, so writers never
-// hold-and-wait on it. Insert descends once per attempt, crabbing exclusive
-// per-node latches and releasing ancestors as soon as the child is
-// split-safe; the delete fast path crabs shared latches. Search is
-// optimistic (latch-free with structVer validation);
-// Range runs under structMu's read side. See DESIGN.md for the full
+// wgate is the writer gate: inserts hold it shared for the duration of one
+// operation; a delete holds it exclusively, with structMu, and so runs as
+// the single writer. structMu serializes structure changes (splits,
+// deletes and the readers that cannot tolerate them); an insert only ever
+// Try-acquires it while latches are held, so writers never hold-and-wait
+// on it. Insert descends once per attempt, crabbing exclusive per-node
+// latches and releasing ancestors as soon as the child is split-safe;
+// Delete descends once, latch-free under its exclusive holds. Search is
+// optimistic (latch-free with structVer validation); Range runs under
+// structMu's read side. See DESIGN.md for the full
 // protocol and its deadlock-freedom argument.
 package core
 
@@ -89,9 +89,9 @@ type Tree struct {
 	// during node splits (white-box statistic for tests and ablations).
 	nCascades atomic.Int64
 
-	// wgate is the writer gate: every Insert/Delete holds the read side for
-	// its whole operation; delete escalation and Validate take the write
-	// side to stop all writers.
+	// wgate is the writer gate: every latched Insert holds the read side
+	// for its whole operation; Delete, every COW write and Validate take
+	// the write side to stop all other writers.
 	wgate sync.RWMutex
 	// structMu serializes structure changes: a writer that splits or
 	// collapses holds it exclusively (Try-acquired while latched, or
@@ -139,13 +139,14 @@ type Tree struct {
 
 // descentCtx is the reusable scratch of one descent: the shifted pseudo-key
 // vector, the per-dimension element index, the stripped-bits counter and
-// frame stack of insert descents, and the descent's held-latch set.
+// frame stack of insert and delete descents, and the held-latch set of an
+// insert descent.
 type descentCtx struct {
 	v     bitkey.Vector
 	idx   []uint64
 	strip []int
-	// stack is tryInsert's descent stack; every frame keeps its strip's
-	// backing array across uses.
+	// stack is the descent stack of tryInsert and deleteLocked; every
+	// frame keeps its strip's backing array across uses.
 	stack []frame
 	ls    latchSet
 }

@@ -288,6 +288,48 @@ func TestDeleteAll(t *testing.T) {
 	}
 }
 
+// TestDeleteReadsPathOncePerDescent is the delete-side twin of
+// TestInsertReadsPathOncePerDescent. A delete descends once and decides
+// every reversal on the way back up, so one that leaves the tree's height
+// and node count alone reads at most 2·levels pages: its path once
+// (levels−1 nodes and the page; the root is pinned), the buddy page it
+// merges with, and one sibling node per ancestor.
+func TestDeleteReadsPathOncePerDescent(t *testing.T) {
+	prm := params.Default(2, 8)
+	tr, st := newTree(t, prm)
+	keys := workload.Uniform(2, 7).Take(5000)
+	for i, k := range keys {
+		if err := tr.Insert(k, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merges := 0
+	for i, k := range keys[:3000] {
+		levels, nodes := tr.Levels(), tr.Nodes()
+		st.ResetStats()
+		if ok, err := tr.Delete(k); err != nil || !ok {
+			t.Fatalf("delete %d: ok=%v err=%v", i, ok, err)
+		}
+		s := st.Stats()
+		if tr.Levels() != levels || tr.Nodes() != nodes {
+			continue
+		}
+		if s.Reads > uint64(2*levels) {
+			t.Fatalf("delete %d read %d pages at %d levels (%d frees); want at most %d",
+				i, s.Reads, levels, s.Frees, 2*levels)
+		}
+		if s.Frees >= 2 {
+			merges++
+		}
+	}
+	if merges == 0 {
+		t.Fatal("no delete merged a page pair")
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestInsertDeleteInterleaved(t *testing.T) {
 	prm := params.Params{Dims: 2, Width: 32, Capacity: 4, Xi: []int{2, 2}}
 	tr, _ := newTree(t, prm)
