@@ -442,11 +442,12 @@ type RecoveryInfo struct {
 }
 
 // CleanShutdown reports whether opening needed no log replay: the
-// previous process committed its final Sync and reset the log before
-// exiting, which is what Close (and bmehserve's graceful drain) leave
-// behind. A positive ReplayedCommits means the store came back from a
-// crash that left a durable-but-unapplied commit in the log — the data
-// is intact either way; this only distinguishes how the process ended.
+// previous process committed its final Sync and checkpointed the log
+// before exiting, which is what Close (and bmehserve's graceful drain)
+// leave behind. A positive ReplayedCommits means the store came back from
+// a crash, with the commits since the last checkpoint still in the log —
+// the data is intact either way; this only distinguishes how the process
+// ended.
 func (r RecoveryInfo) CleanShutdown() bool { return r.ReplayedCommits == 0 }
 
 // Recovery reports what opening this index's file required of crash

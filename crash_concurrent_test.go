@@ -7,7 +7,9 @@ package bmeh
 // takes exclusively). After each crash the surviving bytes are reopened
 // through WAL recovery; the tree must Validate, every key state captured
 // by the last acknowledged commit must be intact, and an offline Fsck of
-// the recovered file must come back clean.
+// the recovered file must come back clean. Every fifth commit is followed
+// by an idle Sync, the checkpoint, and every point is swept twice: with
+// the fatal write dropped or torn, and with pagestore.CrashUnsynced.
 
 import (
 	"os"
@@ -56,6 +58,7 @@ func TestCrashMatrixConcurrentWriters(t *testing.T) {
 			ackMu   sync.Mutex
 			failed  bool
 		)
+		commits := 0
 		commit := func() error {
 			gate.Lock()
 			defer gate.Unlock()
@@ -65,6 +68,11 @@ func TestCrashMatrixConcurrentWriters(t *testing.T) {
 			}
 			cerr := fd.WriteMeta(tr.MarshalMeta())
 			if cerr == nil {
+				cerr = fd.Sync()
+			}
+			if commits++; cerr == nil && commits%5 == 0 {
+				// Nothing is staged now: an idle Sync, the checkpoint
+				// barrier, lands mid-workload too.
 				cerr = fd.Sync()
 			}
 			ackMu.Lock()
@@ -146,12 +154,19 @@ func TestCrashMatrixConcurrentWriters(t *testing.T) {
 		}
 		return v, ok
 	}
-	for p := int64(0); p < points; p++ {
+	// Each point runs twice: dropped or torn (interleaved), then with
+	// pagestore.CrashUnsynced, where each file keeps only what its last
+	// fsync covered plus a seeded subset of the writes since.
+	for q := int64(0); q < 2*points; q++ {
+		p := q % points
 		// Land within the first ~85% of the measured span so the crash
 		// reliably fires despite run-to-run write-count jitter.
 		armAt := 10 + p*(total*85/100)/points
 		mode := pagestore.CrashDrop
-		if p%2 == 1 {
+		switch {
+		case q >= points:
+			mode = pagestore.CrashUnsynced
+		case p%2 == 1:
 			mode = pagestore.CrashTorn
 		}
 		cd := pagestore.NewCrashDisk()

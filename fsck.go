@@ -30,8 +30,9 @@ type FsckReport struct {
 	// index loaded.
 	Records int
 	// WALBatches is the number of fully committed write-ahead-log batches
-	// found in the log before recovery (0 after a clean shutdown, whose
-	// final Reset empties the log).
+	// found in the log before recovery: 0 after a clean shutdown, whose
+	// final checkpoint empties the log, and after a crash every commit
+	// since the last checkpoint, so often more than 1.
 	WALBatches int
 	// WALFrames is the number of page frames those batches carried.
 	WALFrames int

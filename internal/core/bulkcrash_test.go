@@ -16,6 +16,9 @@ import (
 // pages in the store until the commit Sync, recovery must always land in
 // one of exactly two states: the resident set alone (crash before the
 // root swap committed) or resident + loaded (after). Nothing partial.
+// The sweep runs with dropped and torn writes, then again with
+// pagestore.CrashUnsynced (each file keeps what its last fsync covered
+// plus a seeded subset of the writes since).
 func TestCrashMatrixBulkLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash matrix is a sweep; skipped in -short")
@@ -119,12 +122,16 @@ func TestCrashMatrixBulkLoad(t *testing.T) {
 	if points > 160 {
 		points = 160
 	}
-	t.Logf("bulk load exposes %d crash points; sweeping %d (drop+torn interleaved)", total, points)
+	t.Logf("bulk load exposes %d crash points; sweeping %d twice (drop+torn interleaved, then unsynced)", total, points)
 
-	for p := int64(0); p < points; p++ {
+	for q := int64(0); q < 2*points; q++ {
+		p := q % points
 		armAt := base + p*(total-1)/(points-1)
 		mode := pagestore.CrashDrop
-		if p%2 == 1 {
+		switch {
+		case q >= points:
+			mode = pagestore.CrashUnsynced
+		case p%2 == 1:
 			mode = pagestore.CrashTorn
 		}
 		cd := pagestore.NewCrashDisk()

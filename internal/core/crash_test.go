@@ -20,7 +20,10 @@ type crashOp struct {
 // TestCrashMatrix is the paper-to-production acceptance test for the
 // crash-consistency layer. It sweeps simulated power losses — dropped and
 // torn writes alike — across every phase of a mixed insert/delete
-// workload on a file-backed tree that syncs after every operation. After
+// workload on a file-backed tree that syncs after every operation, with
+// an idle Sync (a checkpoint) every few commits. The sweep then runs
+// again with pagestore.CrashUnsynced, where each file keeps only what its
+// last fsync covered plus a seeded subset of the writes since. After
 // each crash the store is reopened through recovery; the tree must pass
 // Validate and every record acknowledged (synced) before the crash must
 // be retrievable, with acknowledged deletes staying deleted.
@@ -80,6 +83,7 @@ func testCrashMatrix(t *testing.T, points int64, group int, mmap, cow bool) {
 	prm := params.Default(2, 4)
 	ps := PageBytes(prm)
 	keys := workload.Uniform(2, 42).Take(90)
+	const checkpointEvery = 7
 	var ops []crashOp
 	for i := range keys {
 		ops = append(ops, crashOp{del: false, idx: i})
@@ -144,6 +148,7 @@ func testCrashMatrix(t *testing.T, points int64, group int, mmap, cow bool) {
 		acked = map[int]bool{}
 		live := map[int]bool{}
 		pending = map[int]bool{}
+		commits := 0
 		for i, o := range ops {
 			var err error
 			if o.del {
@@ -166,6 +171,13 @@ func testCrashMatrix(t *testing.T, points int64, group int, mmap, cow bool) {
 				acked[k] = v
 			}
 			pending = map[int]bool{}
+			commits++
+			if commits%checkpointEvery == 0 {
+				// Nothing is staged: an idle Sync, the checkpoint barrier.
+				if err := fd.Sync(); err != nil {
+					return acked, pending, err
+				}
+			}
 		}
 		return acked, nil, nil
 	}
@@ -198,16 +210,20 @@ func testCrashMatrix(t *testing.T, points int64, group int, mmap, cow bool) {
 	if total < 50 {
 		t.Fatalf("workload exposes only %d crash points; harness too small", total)
 	}
-	t.Logf("workload exposes %d crash points; sweeping %d (drop+torn interleaved)", total, points)
+	t.Logf("workload exposes %d crash points; sweeping %d twice (drop+torn interleaved, then unsynced)", total, points)
 
-	for p := int64(0); p < points; p++ {
+	for q := int64(0); q < 2*points; q++ {
+		p := q % points
 		armAt := p * (total - 1) / (points - 1)
 		mode := pagestore.CrashDrop
-		if p%2 == 1 {
+		switch {
+		case q >= points:
+			mode = pagestore.CrashUnsynced
+		case p%2 == 1:
 			mode = pagestore.CrashTorn
 		}
 		cd := pagestore.NewCrashDisk()
-		main, wal, cleanup := makeFiles(fmt.Sprintf("pt%d", p))
+		main, wal, cleanup := makeFiles(fmt.Sprintf("pt%d", q))
 		acked, pending, err := run(cd, main, wal, armAt, mode)
 		if !cd.Crashed() {
 			t.Fatalf("point %d (+%d): crash never fired (err=%v)", p, armAt, err)

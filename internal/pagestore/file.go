@@ -3,6 +3,7 @@ package pagestore
 import (
 	"io"
 	"os"
+	"slices"
 	"sync"
 )
 
@@ -86,9 +87,7 @@ func (m *MemFile) WriteAt(p []byte, off int64) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if need := off + int64(len(p)); need > int64(len(m.data)) {
-		grown := make([]byte, need)
-		copy(grown, m.data)
-		m.data = grown
+		m.resize(need)
 	}
 	copy(m.data[off:], p)
 	return len(p), nil
@@ -98,14 +97,21 @@ func (m *MemFile) WriteAt(p []byte, off int64) (int, error) {
 func (m *MemFile) Truncate(size int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if size <= int64(len(m.data)) {
-		m.data = m.data[:size]
-		return nil
-	}
-	grown := make([]byte, size)
-	copy(grown, m.data)
-	m.data = grown
+	m.resize(size)
 	return nil
+}
+
+// resize sets the length to size, zero-filling any growth. Growth is
+// amortized, so a file appended to (a WAL) is not copied per append.
+// Caller holds mu.
+func (m *MemFile) resize(size int64) {
+	old := int64(len(m.data))
+	if size <= old {
+		m.data = m.data[:size]
+		return
+	}
+	m.data = slices.Grow(m.data, int(size-old))[:size]
+	clear(m.data[old:])
 }
 
 // Sync implements File (memory is always "durable").

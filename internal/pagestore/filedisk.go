@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -36,6 +36,11 @@ const pageTrailerSize = 8
 // walSuffix names the write-ahead log that travels with a store file.
 const walSuffix = ".wal"
 
+// checkpointBytes is the log length at which a commit checkpoints inline
+// (see checkpointLocked). It bounds both the log and the replay a crash
+// costs; below it a commit pays the WAL's fsync alone.
+const checkpointBytes = 4 << 20
+
 // FileDisk is a file-backed Store with crash consistency. On disk, each
 // page occupies a slot of pageSize+pageTrailerSize bytes at offset
 // id*slotSize; the trailer carries a CRC-32C over the page image and the
@@ -43,13 +48,21 @@ const walSuffix = ".wal"
 // bytes of a free page hold the next free id).
 //
 // Durability model: Write, Alloc and Free stage their effects in memory;
-// Sync is the commit point. A Sync journals every dirty page plus the meta
-// page to the write-ahead log (path + ".wal"), fsyncs it, then writes the
-// pages to their home slots, fsyncs the main file, and resets the log.
-// A crash at any write therefore leaves the file recoverable to either the
-// previous or the new commit: OpenFileDisk replays a fully committed log
-// tail and discards an incomplete one. Checksum damage anywhere surfaces
-// as an error wrapping ErrCorrupt, never a silent wrong answer.
+// Sync is the commit point. A Sync appends every dirty page plus the meta
+// page to the write-ahead log (path + ".wal") and fsyncs it — the one
+// fsync a commit waits for — then writes the pages to their home slots
+// without an fsync. The log is append-only across commits until a
+// checkpoint fsyncs the main file and truncates the log (checkpointLocked):
+// when a commit leaves the log at checkpointBytes or more, on a Sync that
+// finds nothing staged, on Close, and at creation. A crash at any write
+// leaves the file recoverable to the last commit whose log fsync
+// returned, or to the one in flight: OpenFileDisk replays every fully
+// committed batch in the log, in order, and discards an incomplete tail.
+// Checksum damage anywhere surfaces as an error wrapping ErrCorrupt,
+// never a silent wrong answer. A failed write or fsync of either file
+// during a commit or checkpoint poisons the store: every later Write,
+// Alloc, Free and Sync returns that error, and the log is never truncated
+// again, so the next open replays it.
 //
 // Reads: where the main file offers a read view (a MAP_SHARED mapping on
 // Linux; see OpenMappedFile), committed pages are served out of it —
@@ -72,12 +85,17 @@ type FileDisk struct {
 	freeHead  PageID
 	kinds     []Kind            // persisted in each slot's trailer
 	dirty     map[PageID][]byte // staged page images awaiting Sync
+	freed     map[PageID]PageID // pages freed since the last commit → next free id
 	zero      []byte            // the one all-zero image every fresh page stages
 	meta      []byte            // client meta record (staged + cached)
 	metaDirty bool
 	stats     Stats
 	recovered int // committed WAL batches replayed when the store was opened
 	closed    bool
+	// failed, once set, is the error of a commit or checkpoint whose write
+	// or fsync failed. A retried fsync can report success for pages the
+	// kernel has already dropped, so the store stops instead: see usable.
+	failed error
 	// commitSeq numbers committed batches, starting at 1 for the creation
 	// commit. It is persisted in the meta header (as a uint32; ~4 billion
 	// commits before wraparound, far beyond this store's lifetime), so a
@@ -85,9 +103,9 @@ type FileDisk struct {
 	// which commit its copy reflects.
 	commitSeq uint64
 	// hook, when set, observes every committed batch: it runs under mu,
-	// after the WAL has been reset, with the batch's sequence number and
-	// frames (meta page last). Frames are not reused afterwards, so the
-	// hook may retain them. See SetCommitHook.
+	// after the batch's WAL fsync and home writes, with the batch's
+	// sequence number and frames (meta page last). Frames are not reused
+	// afterwards, so the hook may retain them. See SetCommitHook.
 	hook func(seq uint64, frames []Frame)
 	// slots pools Read's slot buffers (*[]byte of slotSize bytes) for the
 	// pread path, so a read that misses every cache above allocates nothing.
@@ -151,13 +169,18 @@ func CreateFileDiskFiles(main, walFile File, pageSize int) (*FileDisk, error) {
 		freeHead:  NilPage,
 		kinds:     []Kind{KindMeta},
 		dirty:     make(map[PageID][]byte),
+		freed:     make(map[PageID]PageID),
 		zero:      make([]byte, pageSize),
 		metaDirty: true,
 	}
 	// The initial commit writes the meta page through the WAL like any
 	// other, so even creation is atomic: a crash mid-create leaves a file
-	// that fails to open rather than one that half-opens.
+	// that fails to open rather than one that half-opens. The checkpoint
+	// after it leaves a new store with an empty log.
 	if err := d.syncLocked(); err != nil {
+		return nil, err
+	}
+	if err := d.checkpointLocked(); err != nil {
 		return nil, err
 	}
 	d.attachView(main)
@@ -213,10 +236,9 @@ func OpenFileDiskFiles(main, walFile File) (*FileDisk, error) {
 		if err != nil {
 			return nil, err
 		}
-		slot := int64(wal.PageSize() + pageTrailerSize)
+		slot := make([]byte, wal.PageSize()+pageTrailerSize)
 		batches, err := wal.Recover(func(fr Frame) error {
-			buf := encodeSlot(fr.Data, fr.Kind)
-			_, werr := main.WriteAt(buf, int64(fr.ID)*slot)
+			_, werr := main.WriteAt(putSlot(slot, fr.Data, fr.Kind), int64(fr.ID)*int64(len(slot)))
 			return werr
 		})
 		if err != nil {
@@ -262,6 +284,7 @@ func OpenFileDiskFiles(main, walFile File) (*FileDisk, error) {
 		pageCount: binary.BigEndian.Uint32(hdr[16:20]),
 		freeHead:  PageID(binary.BigEndian.Uint32(hdr[20:24])),
 		dirty:     make(map[PageID][]byte),
+		freed:     make(map[PageID]PageID),
 		zero:      make([]byte, pageSize),
 		recovered: recovered,
 		commitSeq: uint64(binary.BigEndian.Uint32(hdr[28:32])),
@@ -359,13 +382,19 @@ func slotChecksum(data, tail []byte) uint32 {
 	return crc32.Update(c, crcTable, tail)
 }
 
-// encodeSlot lays out a page image plus its checksum trailer.
+// putSlot lays out a page image plus its checksum trailer in slot, which
+// holds len(data)+pageTrailerSize bytes, and returns slot.
+func putSlot(slot, data []byte, kind Kind) []byte {
+	n := copy(slot, data)
+	tail := slot[n : n+pageTrailerSize]
+	tail[4], tail[5], tail[6], tail[7] = byte(kind), 0, 0, 0
+	binary.BigEndian.PutUint32(tail, slotChecksum(data, tail[4:]))
+	return slot
+}
+
+// encodeSlot is putSlot into a fresh buffer.
 func encodeSlot(data []byte, kind Kind) []byte {
-	buf := make([]byte, len(data)+pageTrailerSize)
-	copy(buf, data)
-	buf[len(data)+4] = byte(kind)
-	binary.BigEndian.PutUint32(buf[len(data):], slotChecksum(data, buf[len(data)+4:]))
-	return buf
+	return putSlot(make([]byte, len(data)+pageTrailerSize), data, kind)
 }
 
 // verifySlot checks a slot image (page + trailer) against its CRC-32C
@@ -498,12 +527,12 @@ func (d *FileDisk) stagedOrDisk(id PageID) ([]byte, error) {
 }
 
 // Alloc implements Store. allocMu pins the free-list head for the whole
-// pop, so the next-pointer read — a disk read when the free page is not
-// staged — runs without the main lock: Free cannot move the head
-// underneath us (it takes allocMu too), the slot's image cannot change (a
-// KindFree page rejects Write and re-Free), and Sync cannot be rewriting
-// the slot (a staged image is read from memory instead, and syncLocked
-// clears the staging map only under mu).
+// pop, so the next-pointer read — a disk read when the page was not freed
+// since the last commit — runs without the main lock: Free cannot move
+// the head underneath us (it takes allocMu too), the slot's image cannot
+// change (a KindFree page rejects Write and re-Free), and Sync cannot be
+// rewriting the slot (only pages freed since the last commit are in a
+// batch, and their links are read from memory instead).
 func (d *FileDisk) Alloc(kind Kind) (PageID, error) {
 	if kind == KindFree || kind == KindMeta {
 		return NilPage, fmt.Errorf("pagestore: cannot allocate page of kind %v", kind)
@@ -511,36 +540,29 @@ func (d *FileDisk) Alloc(kind Kind) (PageID, error) {
 	d.allocMu.Lock()
 	defer d.allocMu.Unlock()
 	d.mu.Lock()
-	if d.closed {
+	if err := d.usable(); err != nil {
 		d.mu.Unlock()
-		return NilPage, ErrClosed
+		return NilPage, err
 	}
 	d.stats.Allocs++
 	id := d.freeHead
-	var staged []byte
-	if id != NilPage {
-		staged = d.dirty[id]
-	}
+	next, staged := d.freed[id]
 	d.mu.Unlock()
-	var next PageID
-	if id != NilPage {
-		page := staged
-		if page == nil {
-			var err error
-			page, err = d.readSlot(id, KindFree)
-			if err != nil {
-				return NilPage, err
-			}
+	if id != NilPage && !staged {
+		page, err := d.readSlot(id, KindFree)
+		if err != nil {
+			return NilPage, err
 		}
 		next = PageID(binary.BigEndian.Uint32(page[:4]))
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return NilPage, ErrClosed
+	if err := d.usable(); err != nil {
+		return NilPage, err
 	}
 	if id != NilPage {
 		d.freeHead = next
+		delete(d.freed, id)
 	} else {
 		id = PageID(d.pageCount)
 		d.pageCount++
@@ -556,21 +578,21 @@ func (d *FileDisk) Alloc(kind Kind) (PageID, error) {
 }
 
 // Free implements Store. It takes allocMu first, like Alloc, so the
-// free-list head moves under one consistent lock.
+// free-list head moves under one consistent lock. It stages only the
+// page's free-list link; the commit composes the free-page image.
 func (d *FileDisk) Free(id PageID) error {
 	d.allocMu.Lock()
 	defer d.allocMu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
+	if err := d.usable(); err != nil {
+		return err
 	}
 	if err := d.checkLocked(id); err != nil {
 		return err
 	}
-	page := make([]byte, d.pageSize)
-	binary.BigEndian.PutUint32(page[:4], uint32(d.freeHead))
-	d.dirty[id] = page
+	delete(d.dirty, id)
+	d.freed[id] = d.freeHead
 	d.freeHead = id
 	d.kinds[id] = KindFree
 	d.metaDirty = true
@@ -674,8 +696,8 @@ func (d *FileDisk) slotBuf() *[]byte {
 func (d *FileDisk) Write(id PageID, data []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
+	if err := d.usable(); err != nil {
+		return err
 	}
 	if err := d.checkLocked(id); err != nil {
 		return err
@@ -712,8 +734,8 @@ func (d *FileDisk) ReadMeta(buf []byte) (int, error) {
 func (d *FileDisk) WriteMeta(data []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
+	if err := d.usable(); err != nil {
+		return err
 	}
 	if len(data) > d.pageSize-fileHeaderSize {
 		return ErrPageSize
@@ -789,9 +811,9 @@ func (d *FileDisk) CheckPages() (pages, free int, problems []error) {
 
 // RecoveredCommits reports how many committed write-ahead-log batches
 // open-time recovery replayed into the file. Zero means the previous
-// process committed and reset its log before exiting — a clean shutdown;
-// a positive count means the store came back from a crash that left a
-// durable-but-unapplied commit in the log.
+// process checkpointed and reset its log before exiting — a clean
+// shutdown; a positive count means the store came back from a crash, and
+// counts every commit since the last checkpoint.
 func (d *FileDisk) RecoveredCommits() int { return d.recovered }
 
 // Dirty returns the number of staged pages awaiting Sync (observability
@@ -799,60 +821,99 @@ func (d *FileDisk) RecoveredCommits() int { return d.recovered }
 func (d *FileDisk) Dirty() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.dirty)
+	return len(d.dirty) + len(d.freed)
 }
 
-// Sync atomically commits all staged writes: it journals every dirty page
-// and the meta page to the WAL, fsyncs, applies them to their home slots,
-// fsyncs the main file, and resets the WAL. After Sync returns, the commit
-// survives any crash; if Sync fails, the previous commit survives instead.
+// Sync atomically commits all staged writes: it appends every dirty page
+// and the meta page to the WAL, fsyncs the log, and writes the pages to
+// their home slots. After Sync returns, the commit survives any crash; if
+// Sync fails, the previous commit survives instead, and the store is
+// poisoned. A Sync that finds nothing staged is the checkpoint barrier:
+// it fsyncs the main file and empties the log.
 func (d *FileDisk) Sync() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
+	if err := d.usable(); err != nil {
+		return err
 	}
 	return d.syncLocked()
 }
 
 func (d *FileDisk) syncLocked() error {
-	if len(d.dirty) == 0 && !d.metaDirty {
-		return d.f.Sync()
+	if len(d.dirty) == 0 && len(d.freed) == 0 && !d.metaDirty {
+		return d.checkpointLocked()
 	}
-	// The sequence number is assigned only when the commit succeeds, so a
-	// failed Sync retried later does not skip a number.
+	// The sequence number is assigned only when the commit succeeds.
 	return d.commitLocked(d.commitSeq + 1)
 }
 
+// usable returns the error every mutation fails with: ErrClosed, or the
+// failure that poisoned the store. Caller holds mu.
+func (d *FileDisk) usable() error {
+	if d.closed {
+		return ErrClosed
+	}
+	return d.failed
+}
+
+// poison records a failed commit or checkpoint write or fsync. Caller
+// holds mu.
+func (d *FileDisk) poison(err error) error {
+	if d.failed == nil {
+		d.failed = fmt.Errorf("pagestore: store unusable after a failed commit: %w", err)
+	}
+	return d.failed
+}
+
 // commitLocked runs one atomic commit of the staged writes as batch seq:
-// WAL journal, fsync, home-slot writes, fsync, WAL reset. On success the
-// store's commit sequence becomes seq and the commit hook (if any)
-// observes the batch.
+// WAL append and fsync, then home-slot writes with no fsync of their own.
+// On success the store's commit sequence becomes seq, the commit hook (if
+// any) observes the batch, and a log grown to checkpointBytes is
+// checkpointed. Any failed write or fsync poisons the store.
 func (d *FileDisk) commitLocked(seq uint64) error {
-	ids := make([]PageID, 0, len(d.dirty))
+	if d.failed != nil {
+		return d.failed
+	}
+	ids := make([]PageID, 0, len(d.dirty)+len(d.freed))
 	for id := range d.dirty {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for id := range d.freed {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	// Freed pages share one buffer: each image is its free-list link
+	// followed by zeros.
+	var freeImages []byte
+	if len(d.freed) > 0 {
+		freeImages = make([]byte, len(d.freed)*d.pageSize)
+	}
 	frames := make([]Frame, 0, len(ids)+1)
 	for _, id := range ids {
-		frames = append(frames, Frame{ID: id, Kind: d.kinds[id], Data: d.dirty[id]})
+		data, ok := d.dirty[id]
+		if !ok {
+			data, freeImages = freeImages[:d.pageSize:d.pageSize], freeImages[d.pageSize:]
+			binary.BigEndian.PutUint32(data, uint32(d.freed[id]))
+		}
+		frames = append(frames, Frame{ID: id, Kind: d.kinds[id], Data: data})
 	}
 	// The meta page rides in every batch: pageCount, freeHead and the
 	// commit sequence must commit atomically with the pages that made
 	// them change.
 	frames = append(frames, Frame{ID: 0, Kind: KindMeta, Data: d.composeMetaPage(seq)})
 	if err := d.wal.Commit(frames); err != nil {
-		return err
+		return d.poison(err)
 	}
 	d.homeGen.Add(1)
+	slot := d.slotBuf()
+	defer d.slots.Put(slot)
 	for _, fr := range frames {
-		if _, err := d.f.WriteAt(encodeSlot(fr.Data, fr.Kind), int64(fr.ID)*d.slotSize()); err != nil {
-			return err
+		if _, err := d.f.WriteAt(putSlot(*slot, fr.Data, fr.Kind), int64(fr.ID)*d.slotSize()); err != nil {
+			return d.poison(err)
 		}
 		if d.view != nil {
-			// The slot's durable bytes just changed; the next zero-copy
-			// read must re-verify it against the fresh trailer.
+			// The slot's bytes just changed; the next zero-copy read must
+			// re-verify it against the fresh trailer.
 			d.clearVerified(fr.ID)
 		}
 	}
@@ -862,35 +923,61 @@ func (d *FileDisk) commitLocked(seq uint64) error {
 		// it): the view may cover them all.
 		d.view.Map(int64(d.pageCount) * d.slotSize())
 	}
-	if err := d.f.Sync(); err != nil {
-		return err
-	}
-	if err := d.wal.Reset(); err != nil {
-		return err
-	}
-	d.dirty = make(map[PageID][]byte)
+	clear(d.dirty)
+	clear(d.freed)
 	d.metaDirty = false
 	d.commitSeq = seq
-	// The hook fires after the WAL reset, i.e. after the checkpoint
-	// barrier: by the time a subscriber sees the batch it is already home
-	// in the main file, so nothing the subscriber does can race the
-	// truncation. The dirty map was just replaced, so the hook may keep
-	// the frames; it must not write them (fresh pages share one image).
+	// The hook fires once the batch is durable in the log and written
+	// home. The frames' images outlive the cleared staging maps, so the
+	// hook may keep them; it must not write them (fresh pages share one
+	// image).
 	if d.hook != nil {
 		d.hook(seq, frames)
+	}
+	if d.wal.Size() >= checkpointBytes {
+		return d.checkpointLocked()
 	}
 	return nil
 }
 
-// Close commits staged writes and releases both files.
+// checkpointLocked makes every batch in the log durable in the main file
+// and empties the log: it fsyncs the main file, then truncates the log to
+// its header and fsyncs it again. That last fsync matters: without it the
+// next append could reach the disk before the truncate does, and a crash
+// would replay the older batches behind it over newer pages. A log
+// holding no batch needs no checkpoint.
+func (d *FileDisk) checkpointLocked() error {
+	if d.failed != nil {
+		return d.failed
+	}
+	if d.wal.Size() == walHeaderSize {
+		return nil
+	}
+	if err := d.f.Sync(); err != nil {
+		return d.poison(err)
+	}
+	if err := d.wal.Reset(); err != nil {
+		return d.poison(err)
+	}
+	return nil
+}
+
+// Close commits staged writes, checkpoints, and releases both files. A
+// poisoned store only releases them, leaving its log for the next open to
+// replay.
 func (d *FileDisk) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return nil
 	}
+	err := d.failed
+	if err == nil {
+		if err = d.syncLocked(); err == nil {
+			err = d.checkpointLocked()
+		}
+	}
 	d.closed = true
-	err := d.syncLocked()
 	d.homeGen.Add(1)
 	if werr := d.wal.Close(); err == nil {
 		err = werr

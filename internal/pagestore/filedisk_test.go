@@ -307,8 +307,9 @@ func TestFileDiskFreeListHardening(t *testing.T) {
 }
 
 // TestFileDiskCrashRecovery sweeps a crash over every write of a small
-// commit-heavy run and checks that reopening always yields either the
-// pre-crash or post-crash committed state — never a broken store.
+// commit-heavy run, with a checkpoint halfway, in every crash mode, and
+// checks that reopening always yields either the pre-crash or post-crash
+// committed state — never a broken store.
 func TestFileDiskCrashRecovery(t *testing.T) {
 	// One disarmed pass to count the crash points.
 	run := func(cd *CrashDisk) (*MemFile, *MemFile, error) {
@@ -331,6 +332,11 @@ func TestFileDiskCrashRecovery(t *testing.T) {
 			if err := d.Sync(); err != nil {
 				return main, wal, err
 			}
+			if i == 2 {
+				if err := d.Sync(); err != nil { // idle: the checkpoint
+					return main, wal, err
+				}
+			}
 		}
 		return main, wal, d.Close()
 	}
@@ -343,7 +349,7 @@ func TestFileDiskCrashRecovery(t *testing.T) {
 		t.Fatalf("only %d crash points; harness too small", total)
 	}
 	for point := int64(0); point < total; point++ {
-		for _, mode := range []CrashMode{CrashDrop, CrashTorn} {
+		for _, mode := range []CrashMode{CrashDrop, CrashTorn, CrashUnsynced} {
 			cd := NewCrashDisk()
 			cd.Arm(point, mode)
 			main, wal, err := run(cd)

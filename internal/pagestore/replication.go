@@ -11,15 +11,18 @@ import (
 // with a monotonically increasing commit sequence number — through a hook
 // installed with SetCommitHook. A replica feeds those batches to
 // ApplyReplicated, which commits them through the replica's own WAL, so a
-// replica is crash-consistent by the same argument as a primary. A replica
+// replica is crash-consistent by the same argument as a primary, and
+// checkpoints after every batch (a replica acknowledges no client, so the
+// extra fsyncs delay nobody, and its log stays empty between batches). A
+// replica
 // that is too far behind for the primary's in-memory segment history is
 // reseeded with a full snapshot (SnapshotPages on the primary,
 // ApplySnapshot on the replica).
 //
 // Because both sides write identical page images at identical offsets,
-// re-encode the meta page from identical fields, and reset their WALs to a
-// bare header on clean close, a caught-up replica's file is byte-for-byte
-// equal to the primary's.
+// re-encode the meta page from identical fields, and checkpoint their WALs
+// to a bare header on clean close, a caught-up replica's file is
+// byte-for-byte equal to the primary's.
 
 // ErrReplicaGap reports a replicated batch whose sequence number does not
 // directly follow the store's commit sequence: one or more batches are
@@ -29,10 +32,12 @@ var ErrReplicaGap = errors.New("pagestore: replication gap")
 
 // SetCommitHook installs fn as the store's commit observer. After every
 // successful commit, fn runs — under the store's lock, so strictly in
-// commit order and after the WAL checkpoint barrier — with the batch's
-// sequence number and frames (home pages first, meta page last). The
-// frames are not reused by the store afterwards; fn may retain them, but
-// must not call back into the store. A nil fn uninstalls the hook.
+// commit order, after the batch's WAL fsync and its home-slot writes, and
+// before any checkpoint that commit triggers — with the batch's sequence
+// number and frames (home pages first, meta page last). The batch is
+// durable when fn sees it. The frames are not reused by the store
+// afterwards; fn may retain them, but must not call back into the store.
+// A nil fn uninstalls the hook.
 func (d *FileDisk) SetCommitHook(fn func(seq uint64, frames []Frame)) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -59,7 +64,7 @@ func (d *FileDisk) SnapshotPages(fn func(id PageID, kind Kind, data []byte) erro
 	if d.closed {
 		return 0, 0, ErrClosed
 	}
-	if len(d.dirty) > 0 || d.metaDirty {
+	if len(d.dirty) > 0 || len(d.freed) > 0 || d.metaDirty {
 		if err := d.commitLocked(d.commitSeq + 1); err != nil {
 			return 0, 0, err
 		}
@@ -136,8 +141,9 @@ func (d *FileDisk) stageReplicatedFrames(frames []Frame) ([]byte, error) {
 // below the current sequence is skipped (duplicate delivery is harmless)
 // and a batch further ahead fails with an error wrapping ErrReplicaGap.
 // The batch commits through the store's own WAL, so a crash mid-apply is
-// recovered exactly like a local commit. It reports whether the batch was
-// applied (false for a duplicate).
+// recovered exactly like a local commit, and is checkpointed before
+// ApplyReplicated returns. It reports whether the batch was applied
+// (false for a duplicate).
 //
 // The store must be a replica: it must carry no local writes. Staged
 // state found here can only be the residue of a previously failed apply
@@ -154,7 +160,8 @@ func (d *FileDisk) ApplyReplicated(seq uint64, frames []Frame) (bool, error) {
 	case seq != d.commitSeq+1:
 		return false, fmt.Errorf("%w: store at seq %d, batch is %d", ErrReplicaGap, d.commitSeq, seq)
 	}
-	d.dirty = make(map[PageID][]byte)
+	clear(d.dirty)
+	clear(d.freed)
 	d.metaDirty = false
 	meta, err := d.stageReplicatedFrames(frames)
 	if err != nil {
@@ -175,6 +182,9 @@ func (d *FileDisk) ApplyReplicated(seq uint64, frames []Frame) (bool, error) {
 	if err := d.commitLocked(seq); err != nil {
 		return false, err
 	}
+	if err := d.checkpointLocked(); err != nil {
+		return false, err
+	}
 	return true, nil
 }
 
@@ -182,16 +192,17 @@ func (d *FileDisk) ApplyReplicated(seq uint64, frames []Frame) (bool, error) {
 // taken by SnapshotPages on another store of the same page size: frames
 // must hold every page of the source, the meta page included, and seq is
 // the commit sequence the snapshot belongs to. The replacement commits
-// through the store's own WAL; afterwards the file is truncated to
-// exactly the snapshot's length, so a caught-up replica matches the
-// primary byte for byte.
+// through the store's own WAL and is checkpointed; afterwards the file is
+// truncated to exactly the snapshot's length, so a caught-up replica
+// matches the primary byte for byte.
 func (d *FileDisk) ApplySnapshot(seq uint64, frames []Frame) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return ErrClosed
 	}
-	d.dirty = make(map[PageID][]byte)
+	clear(d.dirty)
+	clear(d.freed)
 	d.metaDirty = false
 	d.kinds = d.kinds[:1]
 	meta, err := d.stageReplicatedFrames(frames)
@@ -209,6 +220,9 @@ func (d *FileDisk) ApplySnapshot(seq uint64, frames []Frame) error {
 	d.freeHead = freeHead
 	d.meta = append(d.meta[:0], record...)
 	if err := d.commitLocked(seq); err != nil {
+		return err
+	}
+	if err := d.checkpointLocked(); err != nil {
 		return err
 	}
 	// Shrink away any slots beyond the snapshot (the store may have been

@@ -159,6 +159,10 @@ func (d *FileDisk) FreePageIDs() ([]PageID, error) {
 		}
 		seen[id] = true
 		out = append(out, id)
+		if next, ok := d.freed[id]; ok {
+			id = next
+			continue
+		}
 		page, err := d.stagedOrDisk(id)
 		if err != nil {
 			return nil, err

@@ -3,15 +3,19 @@ package pagestore
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 )
 
 // This file implements the physical write-ahead log that makes FileDisk's
 // Sync an atomic commit. The log journals full page images: a commit
 // appends one frame record per dirty page followed by a commit record, and
-// fsyncs before any page is written to its home offset. Recovery replays
-// every fully committed batch and discards an incomplete tail, so a crash
-// at any point leaves the store either at the previous commit or at the
-// new one — never in between.
+// fsyncs before any page is written to its home offset. The log is
+// append-only across commits: it holds every batch since the last
+// checkpoint, which fsyncs the main file and only then truncates the log
+// (Reset) and fsyncs the truncate. Recovery replays every fully committed
+// batch, in order — replaying one already home is harmless — and
+// discards an incomplete tail, so a crash at any point leaves the store
+// at the last acknowledged commit or the one in flight, never in between.
 //
 // One Sync is one commit. Batching many writers into one commit happens
 // above the store: bmeh.Index.InsertBatch applies a whole batch before its
@@ -97,6 +101,10 @@ func OpenWAL(f File, pageSize int) (*WAL, error) {
 // PageSize returns the page size recorded in the log header.
 func (w *WAL) PageSize() int { return w.pageSize }
 
+// Size returns the log's length through its last committed batch: the
+// header alone when the log holds none.
+func (w *WAL) Size() int64 { return w.tail }
+
 // frameSize returns the on-log size of one frame record.
 func (w *WAL) frameSize() int64 { return int64(walFrameOverhead + w.pageSize) }
 
@@ -108,31 +116,27 @@ func (w *WAL) Commit(frames []Frame) error {
 	if len(frames) == 0 {
 		return nil
 	}
-	buf := make([]byte, 0, int64(len(frames))*w.frameSize()+walCommitSize)
-	frameCRCs := make([]byte, 0, 4*len(frames)+4)
+	// Frames are encoded straight into the one buffer the batch is
+	// written from; chain is the commit record's crc, accumulated over
+	// each frame's crc bytes and then the count.
+	buf := make([]byte, int64(len(frames))*w.frameSize()+walCommitSize)
+	rec, chain := buf, uint32(0)
 	for _, fr := range frames {
 		if len(fr.Data) != w.pageSize {
 			return fmt.Errorf("pagestore: WAL frame for page %d has %d bytes, want %d", fr.ID, len(fr.Data), w.pageSize)
 		}
-		rec := make([]byte, walFrameOverhead+w.pageSize)
 		rec[0] = walRecFrame
 		rec[1] = byte(fr.Kind)
 		binary.BigEndian.PutUint32(rec[4:8], uint32(fr.ID))
 		copy(rec[8:], fr.Data)
-		crc := checksum(rec[:8+w.pageSize])
-		binary.BigEndian.PutUint32(rec[8+w.pageSize:], crc)
-		buf = append(buf, rec...)
-		var c [4]byte
-		binary.BigEndian.PutUint32(c[:], crc)
-		frameCRCs = append(frameCRCs, c[:]...)
+		crc := rec[8+w.pageSize : walFrameOverhead+w.pageSize]
+		binary.BigEndian.PutUint32(crc, checksum(rec[:8+w.pageSize]))
+		chain = crc32.Update(chain, crcTable, crc)
+		rec = rec[walFrameOverhead+w.pageSize:]
 	}
-	commit := make([]byte, walCommitSize)
-	commit[0] = walRecCommit
-	binary.BigEndian.PutUint32(commit[4:8], uint32(len(frames)))
-	var cnt [4]byte
-	binary.BigEndian.PutUint32(cnt[:], uint32(len(frames)))
-	binary.BigEndian.PutUint32(commit[8:12], checksum(append(frameCRCs, cnt[:]...)))
-	buf = append(buf, commit...)
+	rec[0] = walRecCommit
+	binary.BigEndian.PutUint32(rec[4:8], uint32(len(frames)))
+	binary.BigEndian.PutUint32(rec[8:12], crc32.Update(chain, crcTable, rec[4:8]))
 	if _, err := w.f.WriteAt(buf, w.tail); err != nil {
 		return err
 	}
@@ -219,9 +223,12 @@ func (w *WAL) Recover(apply func(Frame) error) (int, error) {
 	}
 }
 
-// Reset discards the log's contents, truncating it back to its header.
-// Called after a committed batch has been applied and fsynced to the main
-// file; a crash before Reset merely replays the batch again (idempotent).
+// Reset discards the log's contents, truncating it back to its header,
+// and fsyncs the truncate. Called once every batch in the log has been
+// applied and fsynced to the main file; a crash before Reset merely
+// replays them again (idempotent). The fsync keeps the next append from
+// reaching the disk ahead of the truncate: a crash then could leave the
+// new batch followed by older ones, which recovery would replay over it.
 func (w *WAL) Reset() error {
 	if err := w.f.Truncate(walHeaderSize); err != nil {
 		return err

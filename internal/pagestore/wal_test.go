@@ -1,6 +1,7 @@
 package pagestore
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -119,4 +120,61 @@ func TestWALRejectsForeignHeader(t *testing.T) {
 	if _, err := OpenWAL(f, 0); !isCorrupt(err) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
+}
+
+// FuzzScanWAL: arbitrary bytes never panic ScanWALBytes, and a log of
+// several committed batches with one byte flipped, or cut short anywhere,
+// recovers whole batches from its start and nothing after them: the
+// frames returned are exactly those of its first n batches.
+func FuzzScanWAL(f *testing.F) {
+	const ps = 32
+	mf := NewMemFile()
+	w, err := CreateWAL(mf, ps)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var batches [][]Frame
+	for b := 0; b < 4; b++ {
+		var frames []Frame
+		for i := 0; i <= b; i++ {
+			frames = append(frames, Frame{ID: PageID(i + 1), Kind: KindData, Data: page(ps, byte(16*b+i))})
+		}
+		if err := w.Commit(frames); err != nil {
+			f.Fatal(err)
+		}
+		batches = append(batches, frames)
+	}
+	log := mf.Bytes()
+	f.Add([]byte{}, uint32(0), byte(0), uint32(len(log)))
+	f.Add(log[:walHeaderSize+5], uint32(40), byte(1), uint32(100))
+	f.Add(log, uint32(len(log)-1), byte(0x80), uint32(len(log)))
+	f.Fuzz(func(t *testing.T, raw []byte, at uint32, flip byte, cut uint32) {
+		ScanWALBytes(raw)
+
+		b := append([]byte(nil), log...)
+		b[int(at%uint32(len(b)))] ^= flip
+		b = b[:int(cut%uint32(len(b)+1))]
+		n, frames, tail, err := ScanWALBytes(b)
+		if err != nil {
+			return // a damaged header: the log is refused whole
+		}
+		if n > len(batches) {
+			t.Fatalf("recovered %d batches from a log of %d", n, len(batches))
+		}
+		var want []Frame
+		for _, bf := range batches[:n] {
+			want = append(want, bf...)
+		}
+		if len(frames) != len(want) {
+			t.Fatalf("%d batches carry %d frames, recovered %d", n, len(want), len(frames))
+		}
+		for i, fr := range frames {
+			if fr.ID != want[i].ID || fr.Kind != want[i].Kind || !bytes.Equal(fr.Data, want[i].Data) {
+				t.Fatalf("frame %d of %d batches differs from the committed one", i, n)
+			}
+		}
+		if tail < 0 || tail > len(b) {
+			t.Fatalf("tail of %d bytes in a %d-byte log", tail, len(b))
+		}
+	})
 }

@@ -5,12 +5,13 @@
 // replicas are crash-consistent by the same argument as the primary.
 //
 // The replication stream is decoupled from WAL truncation by design: the
-// primary's WAL is reset after every commit, so subscribers never read
-// the log file. Instead, the commit hook hands the Hub the exact frames
-// the WAL just journaled — after the checkpoint barrier, in commit order
-// — and the Hub keeps a bounded in-memory history of recent segments. A
-// subscriber that resumes within the history replays from memory; one
-// that is too far behind (or brand new) is reseeded with a full snapshot.
+// primary's WAL is truncated at every checkpoint, so subscribers never
+// read the log file. Instead, the commit hook hands the Hub the exact
+// frames the WAL just journaled — once their fsync has returned, in
+// commit order — and the Hub keeps a bounded in-memory history of recent
+// segments. A subscriber that resumes within the history replays from
+// memory; one that is too far behind (or brand new) is reseeded with a
+// full snapshot.
 package repl
 
 import (

@@ -292,8 +292,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// All producers are gone; stop the session sweeper (so it cannot
 	// reap a session out from under the teardown below), tear down any
 	// load session still open (its staged pages are freed, the pre-load
-	// state stands), commit whatever the write queue still holds, then
-	// leave the WAL reset so the next open sees a clean shutdown.
+	// state stands), then commit whatever is still staged. A Sync with
+	// nothing left to commit checkpoints the WAL, and the index's Close
+	// does so in any case, so the next open sees a clean shutdown.
 	if !already {
 		close(s.loadSweepStop)
 	}

@@ -35,8 +35,8 @@ func (ix *Index) ReplPageSize() int { return ix.store.PageSize() }
 
 // SetReplPublisher installs fn as the store's commit observer: after
 // every durable commit fn receives the batch's sequence number and
-// frames, in commit order, after the WAL checkpoint barrier. Install a
-// repl.Hub's Publish here. fn runs under the store lock and must not
+// frames, in commit order, once the batch's WAL fsync has returned.
+// Install a repl.Hub's Publish here. fn runs under the store lock and must not
 // block or call back into the index. A nil fn uninstalls the publisher.
 func (ix *Index) SetReplPublisher(fn func(seq uint64, frames []pagestore.Frame)) error {
 	if ix.file == nil {
