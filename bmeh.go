@@ -369,6 +369,12 @@ func OpenWithOptions(path string, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	return openOn(file, path, opts)
+}
+
+// openOn is OpenWithOptions over an opened store, which it closes on
+// failure; path names the store in errors.
+func openOn(file *pagestore.FileDisk, path string, opts Options) (*Index, error) {
 	ix := &Index{store: file, file: file}
 	// The meta area can hold up to a page: a v3 record carries the COW
 	// deferred free list, which is far larger than the fixed header.

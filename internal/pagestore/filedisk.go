@@ -74,10 +74,20 @@ const checkpointBytes = 4 << 20
 // Safe for concurrent use. The free-list head lives under allocMu (taken
 // before mu), so an allocation that must read the next free slot from disk
 // performs that read without holding the main lock — two splitting writers
-// allocate while readers keep streaming.
+// allocate while readers keep streaming. Every user of the log takes
+// commitMu before mu, so a replicated batch's log and checkpoint fsyncs
+// (see ApplyReplicated) run without mu while reads go on.
 type FileDisk struct {
-	mu        sync.Mutex
-	allocMu   sync.Mutex // freeHead hand-over-hand; ordered before mu
+	mu      sync.Mutex
+	allocMu sync.Mutex // freeHead hand-over-hand; ordered before mu
+	// commitMu serializes every user of the log — commit, checkpoint, Sync,
+	// Close, SnapshotPages, ApplySnapshot and ApplyReplicated's log and
+	// checkpoint steps — and guards wal. Ordered before mu.
+	commitMu sync.Mutex
+	// applyMu serializes ApplyReplicated calls. It is held across a whole
+	// apply, the caller's swap included, so it is ordered before every
+	// lock swap takes and before commitMu.
+	applyMu   sync.Mutex
 	f         File
 	wal       *WAL
 	pageSize  int
@@ -102,6 +112,13 @@ type FileDisk struct {
 	// reopened store resumes the sequence and a replica can tell exactly
 	// which commit its copy reflects.
 	commitSeq uint64
+	// replSeq is the replicated batch an ApplyReplicated has logged but
+	// not yet checkpointed, 0 when there is none. While replSeq exceeds
+	// commitSeq the batch is in the log but not home: no checkpoint may
+	// truncate the log and no local commit may take its sequence number.
+	// Once the batch is home replSeq equals commitSeq until the checkpoint
+	// is done; meanwhile CommitSeq still reports the batch before it.
+	replSeq uint64
 	// hook, when set, observes every committed batch: it runs under mu,
 	// after the batch's WAL fsync and home writes, with the batch's
 	// sequence number and frames (meta page last). Frames are not reused
@@ -831,6 +848,8 @@ func (d *FileDisk) Dirty() int {
 // poisoned. A Sync that finds nothing staged is the checkpoint barrier:
 // it fsyncs the main file and empties the log.
 func (d *FileDisk) Sync() error {
+	d.commitMu.Lock()
+	defer d.commitMu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.usable(); err != nil {
@@ -869,10 +888,14 @@ func (d *FileDisk) poison(err error) error {
 // WAL append and fsync, then home-slot writes with no fsync of their own.
 // On success the store's commit sequence becomes seq, the commit hook (if
 // any) observes the batch, and a log grown to checkpointBytes is
-// checkpointed. Any failed write or fsync poisons the store.
+// checkpointed. Any failed write or fsync poisons the store. Caller holds
+// commitMu and mu.
 func (d *FileDisk) commitLocked(seq uint64) error {
 	if d.failed != nil {
 		return d.failed
+	}
+	if d.replSeq > d.commitSeq {
+		return fmt.Errorf("pagestore: local commit while replicated batch %d is being applied", d.replSeq)
 	}
 	ids := make([]PageID, 0, len(d.dirty)+len(d.freed))
 	for id := range d.dirty {
@@ -904,24 +927,8 @@ func (d *FileDisk) commitLocked(seq uint64) error {
 	if err := d.wal.Commit(frames); err != nil {
 		return d.poison(err)
 	}
-	d.homeGen.Add(1)
-	slot := d.slotBuf()
-	defer d.slots.Put(slot)
-	for _, fr := range frames {
-		if _, err := d.f.WriteAt(putSlot(*slot, fr.Data, fr.Kind), int64(fr.ID)*d.slotSize()); err != nil {
-			return d.poison(err)
-		}
-		if d.view != nil {
-			// The slot's bytes just changed; the next zero-copy read must
-			// re-verify it against the fresh trailer.
-			d.clearVerified(fr.ID)
-		}
-	}
-	if d.view != nil {
-		// Every slot below pageCount now exists in the file (each page
-		// allocated since the last commit was staged, so this batch wrote
-		// it): the view may cover them all.
-		d.view.Map(int64(d.pageCount) * d.slotSize())
+	if err := d.writeHomeLocked(frames); err != nil {
+		return err
 	}
 	clear(d.dirty)
 	clear(d.freed)
@@ -940,32 +947,71 @@ func (d *FileDisk) commitLocked(seq uint64) error {
 	return nil
 }
 
+// writeHomeLocked writes a logged batch's pages to their home slots, with
+// no fsync, and maps every slot below pageCount into the read view. A
+// failed write poisons the store. Caller holds mu.
+func (d *FileDisk) writeHomeLocked(frames []Frame) error {
+	d.homeGen.Add(1)
+	slot := d.slotBuf()
+	defer d.slots.Put(slot)
+	for _, fr := range frames {
+		if _, err := d.f.WriteAt(putSlot(*slot, fr.Data, fr.Kind), int64(fr.ID)*d.slotSize()); err != nil {
+			return d.poison(err)
+		}
+		if d.view != nil {
+			// The slot's bytes just changed; the next zero-copy read must
+			// re-verify it against the fresh trailer.
+			d.clearVerified(fr.ID)
+		}
+	}
+	if d.view != nil {
+		// Every slot below pageCount now exists in the file (each page
+		// allocated since the last commit travels in this batch): the view
+		// may cover them all.
+		d.view.Map(int64(d.pageCount) * d.slotSize())
+	}
+	return nil
+}
+
 // checkpointLocked makes every batch in the log durable in the main file
-// and empties the log: it fsyncs the main file, then truncates the log to
-// its header and fsyncs it again. That last fsync matters: without it the
-// next append could reach the disk before the truncate does, and a crash
-// would replay the older batches behind it over newer pages. A log
-// holding no batch needs no checkpoint.
+// and empties the log (see checkpointFiles). A log holding no batch needs
+// no checkpoint, and one holding a replicated batch that is not home yet
+// must keep it. Caller holds commitMu and mu.
 func (d *FileDisk) checkpointLocked() error {
 	if d.failed != nil {
 		return d.failed
 	}
-	if d.wal.Size() == walHeaderSize {
+	if d.wal.Size() == walHeaderSize || d.replSeq > d.commitSeq {
 		return nil
 	}
-	if err := d.f.Sync(); err != nil {
-		return d.poison(err)
-	}
-	if err := d.wal.Reset(); err != nil {
+	if err := d.checkpointFiles(); err != nil {
 		return d.poison(err)
 	}
 	return nil
 }
 
+// checkpointFiles fsyncs the main file, then truncates the log to its
+// header and fsyncs it again. That last fsync matters: without it the
+// next append could reach the disk before the truncate does, and a crash
+// would replay the older batches behind it over newer pages. Caller holds
+// commitMu, and every batch in the log is home. mu is not needed: a
+// commit holds commitMu, and the only home writes made without it,
+// ApplyReplicated's, come before that apply's own checkpoint and never
+// overlap another apply (applyMu).
+func (d *FileDisk) checkpointFiles() error {
+	if err := d.f.Sync(); err != nil {
+		return err
+	}
+	return d.wal.Reset()
+}
+
 // Close commits staged writes, checkpoints, and releases both files. A
 // poisoned store only releases them, leaving its log for the next open to
-// replay.
+// replay, and so does a replica closed while a batch ApplyReplicated has
+// logged is not yet home.
 func (d *FileDisk) Close() error {
+	d.commitMu.Lock()
+	defer d.commitMu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {

@@ -10,12 +10,13 @@ import (
 // committed batch — the exact frames its own WAL just journaled, tagged
 // with a monotonically increasing commit sequence number — through a hook
 // installed with SetCommitHook. A replica feeds those batches to
-// ApplyReplicated, which commits them through the replica's own WAL, so a
-// replica is crash-consistent by the same argument as a primary, and
-// checkpoints after every batch (a replica acknowledges no client, so the
-// extra fsyncs delay nobody, and its log stays empty between batches). A
-// replica
-// that is too far behind for the primary's in-memory segment history is
+// ApplyReplicated, which journals them in the replica's own WAL before
+// writing them home, so a replica is crash-consistent by the same argument
+// as a primary, and checkpoints after every batch (a replica acknowledges
+// no client, so its log stays empty between batches). The log and
+// checkpoint fsyncs run outside the store's main lock and outside the
+// caller's, so replica reads wait only for the home writes. A replica that
+// is too far behind for the primary's in-memory segment history is
 // reseeded with a full snapshot (SnapshotPages on the primary,
 // ApplySnapshot on the replica).
 //
@@ -45,10 +46,15 @@ func (d *FileDisk) SetCommitHook(fn func(seq uint64, frames []Frame)) {
 }
 
 // CommitSeq returns the sequence number of the last committed batch.
-// Staged-but-unsynced writes are not reflected.
+// Staged-but-unsynced writes are not reflected. On a replica a batch
+// counts once ApplyReplicated has applied and checkpointed it, so the log
+// is empty whenever CommitSeq has caught up with the primary.
 func (d *FileDisk) CommitSeq() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.replSeq != 0 {
+		return d.replSeq - 1
+	}
 	return d.commitSeq
 }
 
@@ -59,6 +65,8 @@ func (d *FileDisk) CommitSeq() uint64 {
 // callers that layer caches above the store must flush them before
 // calling. The page data passed to fn is only valid during the call.
 func (d *FileDisk) SnapshotPages(fn func(id PageID, kind Kind, data []byte) error) (seq uint64, pageCount uint32, err error) {
+	d.commitMu.Lock()
+	defer d.commitMu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -108,19 +116,12 @@ func (d *FileDisk) parseReplicatedMeta(meta []byte, wantSeq uint64) (pageCount u
 	return pageCount, freeHead, meta[fileHeaderSize : fileHeaderSize+metaLen], nil
 }
 
-// stageReplicatedFrames stages every frame of a replicated batch and
-// returns the batch's meta-page image. The kind table grows as needed so
-// pages allocated by the batch exist before the commit.
-func (d *FileDisk) stageReplicatedFrames(frames []Frame) ([]byte, error) {
-	var meta []byte
+// adoptKindsLocked records the kind of every page a replicated batch or
+// snapshot carries, growing the kind table as needed, and returns the
+// meta-page image. Caller holds mu.
+func (d *FileDisk) adoptKindsLocked(frames []Frame) (meta []byte) {
 	for _, fr := range frames {
-		if len(fr.Data) != d.pageSize {
-			return nil, fmt.Errorf("pagestore: replicated frame for page %d has %d bytes, want %d", fr.ID, len(fr.Data), d.pageSize)
-		}
 		if fr.ID == 0 {
-			if fr.Kind != KindMeta {
-				return nil, fmt.Errorf("pagestore: replicated page 0 has kind %v: %w", fr.Kind, ErrCorrupt)
-			}
 			meta = fr.Data
 			continue
 		}
@@ -128,64 +129,178 @@ func (d *FileDisk) stageReplicatedFrames(frames []Frame) ([]byte, error) {
 			d.kinds = append(d.kinds, KindFree)
 		}
 		d.kinds[fr.ID] = fr.Kind
-		d.dirty[fr.ID] = append([]byte(nil), fr.Data...)
+	}
+	return meta
+}
+
+// checkReplicatedLocked validates a replicated batch without changing
+// the store: every frame is one page, the meta page is present and
+// parses, and its page count covers every frame but reaches no further
+// than the frames and the pages the store already has. Caller holds mu.
+func (d *FileDisk) checkReplicatedLocked(seq uint64, frames []Frame) error {
+	var meta []byte
+	var top uint32 // one past the highest page the batch writes
+	for _, fr := range frames {
+		if len(fr.Data) != d.pageSize {
+			return fmt.Errorf("pagestore: replicated frame for page %d has %d bytes, want %d", fr.ID, len(fr.Data), d.pageSize)
+		}
+		if fr.ID == 0 {
+			if fr.Kind != KindMeta {
+				return fmt.Errorf("pagestore: replicated page 0 has kind %v: %w", fr.Kind, ErrCorrupt)
+			}
+			meta = fr.Data
+		}
+		top = max(top, uint32(fr.ID)+1)
 	}
 	if meta == nil {
-		return nil, fmt.Errorf("pagestore: replicated batch carries no meta page: %w", ErrCorrupt)
+		return fmt.Errorf("pagestore: replicated batch carries no meta page: %w", ErrCorrupt)
 	}
-	return meta, nil
+	pageCount, _, _, err := d.parseReplicatedMeta(meta, seq)
+	if err != nil {
+		return err
+	}
+	if reach := max(top, uint32(len(d.kinds))); pageCount < top || pageCount > reach {
+		// Every page a batch allocates travels in that batch, so growth
+		// beyond the frames means a batch was lost upstream.
+		return fmt.Errorf("pagestore: replicated meta claims %d pages, batch reaches %d: %w", pageCount, reach, ErrCorrupt)
+	}
+	return nil
 }
 
 // ApplyReplicated applies one replicated commit batch to the store. The
 // batch must directly follow the store's commit sequence; a batch at or
 // below the current sequence is skipped (duplicate delivery is harmless)
 // and a batch further ahead fails with an error wrapping ErrReplicaGap.
-// The batch commits through the store's own WAL, so a crash mid-apply is
-// recovered exactly like a local commit, and is checkpointed before
-// ApplyReplicated returns. It reports whether the batch was applied
-// (false for a duplicate).
+// It reports whether the batch was applied (false for a duplicate).
+//
+// The apply runs in three steps, each under the narrowest lock it needs:
+//
+//  1. Log: the batch is checked under mu, then appended to the store's own
+//     WAL and fsynced holding commitMu but not mu. Nothing a reader sees
+//     changes.
+//  2. Apply: swap(home) runs. home takes mu, makes the batch the store's
+//     state and writes its pages to their home slots, without logging it
+//     again. swap must call home once and may hold a lock of its own
+//     around it: the index holds its exclusive lock, so no reader decodes
+//     a home slot while it is rewritten, and swaps its tree in the same
+//     critical section. A nil swap calls home alone.
+//  3. Checkpoint: the main file is fsynced, then the log truncated and
+//     fsynced, holding commitMu but not mu. Only now does CommitSeq
+//     report the batch.
+//
+// A crash at any point recovers exactly like a local commit, to the
+// batch before or to this one, and a clean return leaves the log empty.
+// A failure after the log step, swap's included, poisons the store: a
+// resent batch would otherwise sit in the log twice. The next open
+// replays the log.
 //
 // The store must be a replica: it must carry no local writes. Staged
-// state found here can only be the residue of a previously failed apply
-// and is discarded before the batch is staged fresh.
-func (d *FileDisk) ApplyReplicated(seq uint64, frames []Frame) (bool, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return false, ErrClosed
+// writes found when the batch is applied are discarded, and a local
+// commit is refused while a logged batch is not yet home.
+func (d *FileDisk) ApplyReplicated(seq uint64, frames []Frame, swap func(home func() error) error) (bool, error) {
+	d.applyMu.Lock()
+	defer d.applyMu.Unlock()
+	if logged, err := d.logReplicated(seq, frames); !logged || err != nil {
+		return false, err
 	}
+	home := func() error { return d.homeReplicated(seq, frames) }
+	var err error
+	if swap == nil {
+		err = home()
+	} else {
+		err = swap(home)
+	}
+	if err != nil {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return false, d.poison(err)
+	}
+	return true, d.checkpointReplicated(seq)
+}
+
+// logReplicated is ApplyReplicated's log step. It reports false for a
+// duplicate batch.
+func (d *FileDisk) logReplicated(seq uint64, frames []Frame) (bool, error) {
+	d.commitMu.Lock()
+	defer d.commitMu.Unlock()
+	d.mu.Lock()
+	err := d.usable()
 	switch {
+	case err != nil:
 	case seq <= d.commitSeq:
+		d.mu.Unlock()
 		return false, nil
 	case seq != d.commitSeq+1:
-		return false, fmt.Errorf("%w: store at seq %d, batch is %d", ErrReplicaGap, d.commitSeq, seq)
+		err = fmt.Errorf("%w: store at seq %d, batch is %d", ErrReplicaGap, d.commitSeq, seq)
+	default:
+		err = d.checkReplicatedLocked(seq, frames)
+	}
+	d.mu.Unlock()
+	if err != nil {
+		return false, err
+	}
+	err = d.wal.Commit(frames)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err != nil {
+		return false, d.poison(err)
+	}
+	d.replSeq = seq
+	return true, nil
+}
+
+// homeReplicated is ApplyReplicated's apply step: the logged batch
+// becomes the store's state — kinds, page count, free-list head and meta
+// record — and its pages are written home.
+func (d *FileDisk) homeReplicated(seq uint64, frames []Frame) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.usable(); err != nil {
+		return err
+	}
+	if d.replSeq != seq {
+		return fmt.Errorf("pagestore: replicated batch %d was replaced by a snapshot before it was applied", seq)
 	}
 	clear(d.dirty)
 	clear(d.freed)
 	d.metaDirty = false
-	meta, err := d.stageReplicatedFrames(frames)
-	if err != nil {
-		return false, err
-	}
-	pageCount, freeHead, record, err := d.parseReplicatedMeta(meta, seq)
-	if err != nil {
-		return false, err
-	}
-	if int(pageCount) > len(d.kinds) {
-		// Every page a batch allocates travels in that batch, so growth
-		// beyond the staged frames means a batch was lost upstream.
-		return false, fmt.Errorf("pagestore: replicated meta claims %d pages, batch reaches %d: %w", pageCount, len(d.kinds), ErrCorrupt)
-	}
-	d.pageCount = pageCount
-	d.freeHead = freeHead
+	// The log step checked the meta page, so it parses.
+	pageCount, freeHead, record, _ := d.parseReplicatedMeta(d.adoptKindsLocked(frames), seq)
+	d.pageCount, d.freeHead = pageCount, freeHead
 	d.meta = append(d.meta[:0], record...)
-	if err := d.commitLocked(seq); err != nil {
-		return false, err
+	if err := d.writeHomeLocked(frames); err != nil {
+		return err
 	}
-	if err := d.checkpointLocked(); err != nil {
-		return false, err
+	d.commitSeq = seq
+	if d.hook != nil {
+		d.hook(seq, frames)
 	}
-	return true, nil
+	return nil
+}
+
+// checkpointReplicated is ApplyReplicated's checkpoint step. A Sync or
+// Close that ran since the apply step may have checkpointed already.
+func (d *FileDisk) checkpointReplicated(seq uint64) error {
+	d.commitMu.Lock()
+	defer d.commitMu.Unlock()
+	d.mu.Lock()
+	err := d.usable()
+	d.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	if d.wal.Size() != walHeaderSize {
+		err = d.checkpointFiles()
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err != nil {
+		return d.poison(err)
+	}
+	if d.replSeq == seq {
+		d.replSeq = 0
+	}
+	return nil
 }
 
 // ApplySnapshot replaces the store's entire contents with a snapshot
@@ -196,22 +311,28 @@ func (d *FileDisk) ApplyReplicated(seq uint64, frames []Frame) (bool, error) {
 // truncated to exactly the snapshot's length, so a caught-up replica
 // matches the primary byte for byte.
 func (d *FileDisk) ApplySnapshot(seq uint64, frames []Frame) error {
+	d.commitMu.Lock()
+	defer d.commitMu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return ErrClosed
 	}
+	if err := d.checkReplicatedLocked(seq, frames); err != nil {
+		return err
+	}
+	// A replicated batch logged but not yet applied is superseded: its
+	// apply step fails, and this commit lands after it in the log.
+	d.replSeq = 0
 	clear(d.dirty)
 	clear(d.freed)
 	d.metaDirty = false
 	d.kinds = d.kinds[:1]
-	meta, err := d.stageReplicatedFrames(frames)
-	if err != nil {
-		return err
-	}
-	pageCount, freeHead, record, err := d.parseReplicatedMeta(meta, seq)
-	if err != nil {
-		return err
+	pageCount, freeHead, record, _ := d.parseReplicatedMeta(d.adoptKindsLocked(frames), seq)
+	for _, fr := range frames {
+		if fr.ID != 0 {
+			d.dirty[fr.ID] = append([]byte(nil), fr.Data...)
+		}
 	}
 	if int(pageCount) != len(d.kinds) || len(d.dirty) != int(pageCount)-1 {
 		return fmt.Errorf("pagestore: snapshot claims %d pages, carries %d: %w", pageCount, len(d.dirty)+1, ErrCorrupt)

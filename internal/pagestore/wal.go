@@ -52,7 +52,7 @@ type Frame struct {
 }
 
 // WAL is a physical redo log over a File. It is not safe for concurrent
-// use; FileDisk serializes access under its own lock.
+// use; FileDisk serializes access under its commitMu.
 type WAL struct {
 	f        File
 	pageSize int

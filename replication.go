@@ -22,7 +22,9 @@ import (
 var ErrNotReplicable = errors.New("bmeh: in-memory index cannot replicate")
 
 // ReplCommitSeq returns the sequence number of the store's last durable
-// commit (0 for an in-memory index).
+// commit (0 for an in-memory index). On a replica that is the last batch
+// applied and checkpointed: a batch ApplyReplSegment is still working on
+// is not counted, even once readers see it.
 func (ix *Index) ReplCommitSeq() uint64 {
 	if ix.file == nil {
 		return 0
@@ -99,33 +101,42 @@ func (ix *Index) ReplSnapshot(fn func(id pagestore.PageID, kind pagestore.Kind, 
 }
 
 // ApplyReplSegment applies one replicated commit batch to a replica
-// index: the batch commits through the local WAL and the in-memory view
-// is rebuilt from the replicated header, keeping the decoded nodes and
-// pages the batch did not rewrite. Duplicate batches are skipped; a gap
-// fails with pagestore.ErrReplicaGap and the caller must resynchronize.
+// index. The batch is journaled in the local WAL and fsynced without the
+// index lock; then, under the exclusive index lock, its pages are written
+// home and the in-memory view is rebuilt from the replicated header,
+// keeping the decoded nodes and pages the batch did not rewrite; last,
+// the store checkpoints, again without the index lock. Readers therefore
+// wait only for the home writes and the tree swap, never for an fsync,
+// and keep reading the previous batch's tree until the swap. The batch
+// counts toward ReplCommitSeq once the checkpoint is done. Duplicate
+// batches are skipped; a gap fails with pagestore.ErrReplicaGap and the
+// caller must resynchronize. A failure after the batch was journaled
+// poisons the store (see pagestore.FileDisk.ApplyReplicated).
 func (ix *Index) ApplyReplSegment(seq uint64, frames []pagestore.Frame) error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.closed {
-		return pagestore.ErrClosed
-	}
 	if ix.file == nil {
 		return ErrNotReplicable
 	}
-	applied, err := ix.file.ApplyReplicated(seq, frames)
-	if err != nil || !applied {
-		return err
-	}
-	prev := ix.idx
-	if err := ix.reloadLocked(); err != nil {
-		return err
-	}
-	if p, ok := prev.(*core.Tree); ok {
-		if t, ok := ix.idx.(*core.Tree); ok {
-			t.AdoptDecodedCaches(p, frames)
+	_, err := ix.file.ApplyReplicated(seq, frames, func(home func() error) error {
+		ix.mu.Lock()
+		defer ix.mu.Unlock()
+		if ix.closed {
+			return pagestore.ErrClosed
 		}
-	}
-	return nil
+		if err := home(); err != nil {
+			return err
+		}
+		prev := ix.idx
+		if err := ix.reloadLocked(); err != nil {
+			return err
+		}
+		if p, ok := prev.(*core.Tree); ok {
+			if t, ok := ix.idx.(*core.Tree); ok {
+				t.AdoptDecodedCaches(p, frames)
+			}
+		}
+		return nil
+	})
+	return err
 }
 
 // ApplyReplSnapshot replaces a replica index's contents with a full
