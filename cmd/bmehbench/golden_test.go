@@ -14,8 +14,8 @@ import (
 )
 
 // TestReproductionGolden pins the published reproduction: full-size Table
-// 2 and the φ ablation must print exactly their sections of
-// docs/results-full.txt, so a change to any reported figure (ρ's access
+// 2, the φ ablation and the §3 noise run must print exactly their sections
+// of docs/results-full.txt, so a change to any reported figure (ρ's access
 // accounting included) fails here. CI diffs the whole -all output against
 // the same file.
 func TestReproductionGolden(t *testing.T) {
@@ -26,6 +26,7 @@ func TestReproductionGolden(t *testing.T) {
 	for name, args := range map[string][]string{
 		"table2":   {"-table", "2", "-q"},
 		"ablation": {"-ablation", "-q"},
+		"noise":    {"-noise", "-q"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()

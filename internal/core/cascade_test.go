@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"bmeh/internal/bitkey"
 	"bmeh/internal/pagestore"
 	"bmeh/internal/params"
 	"bmeh/internal/workload"
@@ -60,7 +62,10 @@ func TestCascadeSplits(t *testing.T) {
 }
 
 // TestSymmetricXiNeverCascades documents the balance property: the paper's
-// symmetric configurations never produce plane-crossing regions.
+// symmetric configurations never produce plane-crossing regions, also when
+// inserts refill the nil regions that deletes and node splits leave above
+// leaf level. The node materialized there must continue the region's
+// cyclic split order; restarting it at dimension 0 breaks the balance.
 func TestSymmetricXiNeverCascades(t *testing.T) {
 	for _, cfg := range []params.Params{
 		params.Default(2, 8),
@@ -73,13 +78,94 @@ func TestSymmetricXiNeverCascades(t *testing.T) {
 			t.Fatal(err)
 		}
 		gen := workload.Clustered(cfg.Dims, 3, 1<<22, 9)
-		for i := 0; i < 3000; i++ {
-			if err := tr.Insert(gen.Next(), uint64(i)); err != nil {
+		keys := gen.Take(3000)
+		for i, k := range keys {
+			if err := tr.Insert(k, uint64(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if got := tr.Cascades(); got != 0 {
 			t.Errorf("ξ=%v: %d cascades under symmetric configuration", cfg.Xi, got)
 		}
+		// Delete the keys whose first component lies below a quantile,
+		// then insert them again.
+		firsts := make([]bitkey.Component, len(keys))
+		for i, k := range keys {
+			firsts[i] = k[0]
+		}
+		slices.Sort(firsts)
+		for _, frac := range []int{2, 4, 8} {
+			below := firsts[len(firsts)/frac]
+			before := tr.Cascades()
+			for _, k := range keys {
+				if k[0] < below {
+					if ok, err := tr.Delete(k); err != nil || !ok {
+						t.Fatalf("ξ=%v: delete: ok=%v err=%v", cfg.Xi, ok, err)
+					}
+				}
+			}
+			for i, k := range keys {
+				if k[0] < below {
+					if err := tr.Insert(k, uint64(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if got := tr.Cascades() - before; got != 0 {
+				t.Errorf("ξ=%v: %d cascades reinserting below the 1/%d quantile", cfg.Xi, got, frac)
+			}
+			if err := tr.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestSplitsLeaveNoEmptyNode checks that a node split gives a half that
+// holds no live region no page: fault-free inserts leave no all-nil node
+// below the root.
+func TestSplitsLeaveNoEmptyNode(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		prm  params.Params
+		gen  *workload.Generator
+		n    int
+	}{
+		{"uniform", params.Default(2, 4), workload.Uniform(2, 99), 1500},
+		{"noise", params.Default(2, 8), workload.NoiseBurst(2, 50, 16, 1), 20000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, _ := newTree(t, tc.prm)
+			for i, k := range tc.gen.Take(tc.n) {
+				if err := tr.Insert(k, uint64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var ids []pagestore.PageID
+			err := tr.ForEachPageRef(func(id pagestore.PageID, isNode bool) {
+				if isNode {
+					ids = append(ids, id)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			empty := 0
+			for _, id := range ids {
+				n, err := tr.readNode(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if allNil(n) {
+					empty++
+				}
+			}
+			if empty != 0 {
+				t.Errorf("%d of %d non-root nodes hold only nil regions", empty, len(ids))
+			}
+			if tr.Nodes() != len(ids)+1 {
+				t.Errorf("node counter %d, walk found %d + root", tr.Nodes(), len(ids))
+			}
+		})
 	}
 }

@@ -147,92 +147,7 @@ func (t *Tree) deleteLocked(k bitkey.Vector) (bool, error) {
 		if err := t.mergeUpward(dc.stack, id, node); err != nil {
 			return false, err
 		}
-		if allNil(node) {
-			if err := t.gcEmptyNodes(); err != nil {
-				return false, err
-			}
-		}
 		return true, t.collapseRoot()
-	}
-}
-
-// gcEmptyNodes removes every all-empty non-root node from the directory:
-// references to it become nil regions and its page is freed. Emptying a
-// parent can make the grandparent's child empty, so the sweep repeats to a
-// fixpoint. mergeUpward prunes the empty nodes on a delete's own path; the
-// sweep is for the ones off it. A node split can leave an all-empty
-// sibling (the half of the split node, or of a downward-split referent,
-// that holds no live region), and no delete reaches it: a delete of a key
-// there stops at a nil region. Without the sweep an emptied tree keeps its
-// height (TestDeleteAll, TestCascadeSplits). It runs whenever a leaf runs
-// empty, and reads every node.
-func (t *Tree) gcEmptyNodes() error {
-	for {
-		r := t.writerRoot()
-		// The sweep may shrink and rewrite any collected node — including
-		// the root, which optimistic searches read latch-free — so every
-		// collected object is a private copy; commits go through writeNode.
-		rootCopy := r.node.Clone()
-		nodes := map[pagestore.PageID]*dirnode.Node{r.pageID: rootCopy}
-		var collect func(n *dirnode.Node) error
-		collect = func(n *dirnode.Node) error {
-			for i := range n.Entries {
-				e := &n.Entries[i]
-				if !e.IsNode || e.Ptr == pagestore.NilPage {
-					continue
-				}
-				if _, ok := nodes[e.Ptr]; ok {
-					continue
-				}
-				c, err := t.readNodeMut(e.Ptr)
-				if err != nil {
-					return err
-				}
-				nodes[e.Ptr] = c
-				if err := collect(c); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if err := collect(rootCopy); err != nil {
-			return err
-		}
-		dead := make(map[pagestore.PageID]bool)
-		for id, n := range nodes {
-			if id != r.pageID && allNil(n) {
-				dead[id] = true
-			}
-		}
-		if len(dead) == 0 {
-			return nil
-		}
-		for id, n := range nodes {
-			if dead[id] {
-				continue
-			}
-			dirty := false
-			for i := range n.Entries {
-				e := &n.Entries[i]
-				if e.IsNode && dead[e.Ptr] {
-					e.Ptr = pagestore.NilPage
-					e.IsNode = false
-					dirty = true
-				}
-			}
-			if dirty {
-				t.shrinkNode(n)
-				if err := t.writeNode(id, n); err != nil {
-					return err
-				}
-			}
-		}
-		for id := range dead {
-			if err := t.freeNode(id); err != nil {
-				return err
-			}
-			t.nNodes.Add(-1)
-		}
 	}
 }
 
@@ -515,7 +430,7 @@ func (t *Tree) tryMergeSiblings(parent *dirnode.Node, q int, childID pagestore.P
 	case be.Ptr == pagestore.NilPage:
 		// Buddy region is empty: merge the child with a synthetic all-nil
 		// sibling of the same shape (the inverse of a split whose high or
-		// low half later emptied out).
+		// low half held no live region, or later emptied out).
 		sib = cloneShape(child)
 	case be.IsNode:
 		sibID = be.Ptr

@@ -136,15 +136,20 @@ func (t *Tree) tryInsert(k bitkey.Vector, v uint64, structural *bool) (bool, err
 			continue
 		}
 		if e.Ptr == pagestore.NilPage && node.Level > 1 {
-			// An empty region above leaf level (left by deletion pruning):
-			// materialize an empty child node so the tree stays perfectly
-			// height-balanced, then continue the descent through it. Nothing
-			// is freed, so this commits safely under the node latch alone.
+			// An empty region above leaf level (the empty half of a node
+			// split, or left by deletion pruning): materialize an empty
+			// child node so the tree stays perfectly height-balanced, then
+			// continue the descent through it. Nothing is freed, so this
+			// commits safely under the node latch alone.
 			cid, err := t.allocNode()
 			if err != nil {
 				return false, err
 			}
+			// The child's element keeps the region's last-split dimension,
+			// so its first split continues the cyclic order instead of
+			// restarting at dimension 0.
 			child := dirnode.New(d, node.Level-1)
+			child.Entries[0].M = e.M
 			if err := t.writeNode(cid, child); err != nil {
 				return false, err
 			}
@@ -285,21 +290,7 @@ func (t *Tree) restructure(ls *latchSet, stack []frame, id pagestore.PageID, nod
 	// pages.
 	oldPtr, oldH := e.Ptr, e.H
 	ones := p.PartitionByBit(m, strip[m]+newh, t.prm.Width)
-	writeHalf := func(half *datapage.Page) (pagestore.PageID, error) {
-		if half.Len() == 0 {
-			return pagestore.NilPage, nil
-		}
-		nid, err := t.allocPage()
-		if err != nil {
-			return pagestore.NilPage, err
-		}
-		return nid, t.writePage(nid, half)
-	}
-	pz, err := writeHalf(p)
-	if err != nil {
-		return err
-	}
-	po, err := writeHalf(ones)
+	pz, po, err := t.writePageHalves(p, ones)
 	if err != nil {
 		return err
 	}
@@ -321,7 +312,8 @@ func (t *Tree) restructure(ls *latchSet, stack []frame, id pagestore.PageID, nod
 // assignSplit updates every element of the region that pointed to oldPtr
 // (with local depths oldH): the half whose dimension-m index has bit newh
 // equal to 0 now points to pz, the other half to po; local depth h_m
-// becomes newh and the last-split dimension m is recorded.
+// becomes newh and the last-split dimension m is recorded. A NilPage half
+// becomes a nil region.
 func (t *Tree) assignSplit(node *dirnode.Node, oldPtr pagestore.PageID, oldH dirnode.LocalDepths, m, newh int, pz, po pagestore.PageID, isNode bool) {
 	shift := uint(node.Depths[m] - newh)
 	for i := range node.Entries {
@@ -335,16 +327,18 @@ func (t *Tree) assignSplit(node *dirnode.Node, oldPtr pagestore.PageID, oldH dir
 		} else {
 			en.Ptr = po
 		}
-		en.IsNode = isNode
+		en.IsNode = isNode && en.Ptr != pagestore.NilPage
 		en.H[m] = uint8(newh)
 		en.M = uint8(m)
 	}
 }
 
-// splitChain splits the node along m into two fresh sibling pages and
-// pushes the new distinction into the parent, recursing toward the root
-// (§3.1). trigPtr is the pointer whose region triggered the split; its
-// elements in the new siblings receive pz (new bit 0) and po (new bit 1).
+// splitChain splits the node along m into two sibling pages and pushes
+// the new distinction into the parent, recursing toward the root (§3.1).
+// A sibling that holds no live region gets no page: the parent's elements
+// for it become a nil region. trigPtr is the pointer whose region
+// triggered the split; its elements in the new siblings receive pz (new
+// bit 0) and po (new bit 1).
 // frees lists pages to release once an ancestor write (or the root switch)
 // has committed the new structure.
 //
@@ -358,21 +352,10 @@ func (t *Tree) splitChain(ls *latchSet, stack []frame, id pagestore.PageID, node
 		if err != nil {
 			return err
 		}
-		aID, err := t.allocNode()
+		aID, bID, err := t.writeNodeHalves(a, b)
 		if err != nil {
 			return err
 		}
-		bID, err := t.allocNode()
-		if err != nil {
-			return err
-		}
-		if err := t.writeNode(aID, a); err != nil {
-			return err
-		}
-		if err := t.writeNode(bID, b); err != nil {
-			return err
-		}
-		t.nNodes.Add(1) // two new nodes replace one (freed after the commit below)
 		frees = append(frees, curID)
 		trigPtr, pz, po, trigIsNode = curID, aID, bID, true
 		if len(stack) == 0 {
@@ -443,18 +426,16 @@ func (t *Tree) freeAll(ids []pagestore.PageID) error {
 
 // newRoot creates a fresh root one level above, with H_m = 1 and its two
 // elements pointing to the split halves with local depth h_m = 1 — the
-// paper's Figure 3b configuration. The in-memory root switch happens only
-// after the new root page is durably written (commit point).
+// paper's Figure 3b configuration (a NilPage half is a nil element). The
+// in-memory root switch happens only after the new root page is durably
+// written (commit point).
 func (t *Tree) newRoot(m int, a, b pagestore.PageID, level int) error {
 	d := t.prm.Dims
 	root := dirnode.New(d, level)
 	root.Double(m)
-	for i := range root.Entries {
-		e := dirnode.Entry{Ptr: a, IsNode: true, M: uint8(m)}
+	for i, ptr := range []pagestore.PageID{a, b} {
+		e := dirnode.Entry{Ptr: ptr, IsNode: ptr != pagestore.NilPage, M: uint8(m)}
 		e.H[m] = 1
-		if i == 1 {
-			e.Ptr = b
-		}
 		root.Entries[i] = e
 	}
 	rid, err := t.allocNode()
@@ -518,7 +499,7 @@ func (t *Tree) splitNode(ls *latchSet, old *dirnode.Node, m, stripM int, trigPtr
 				if bnew == 1 {
 					ptr = po
 				}
-				*child.At(cidx) = dirnode.Entry{Ptr: ptr, IsNode: trigIsNode, H: e.H, M: uint8(m)}
+				*child.At(cidx) = dirnode.Entry{Ptr: ptr, IsNode: trigIsNode && ptr != pagestore.NilPage, H: e.H, M: uint8(m)}
 			}
 		case e.H[m] > 0:
 			// The region lies inside one half; its window slides.
@@ -580,7 +561,7 @@ func (t *Tree) splitNode(ls *latchSet, old *dirnode.Node, m, stripM int, trigPtr
 
 // splitReferent splits a plane-crossing referent (data page or child node)
 // along dimension m at absolute bit stripM+1, returning the page ids of
-// the low and high halves (NilPage for an empty data-page half). level is
+// the low and high halves (NilPage for a half with no live region). level is
 // the level of the node being split; its node referents rank one below.
 // The referent sits off the descent path, so it is latched exclusively
 // here, before it is read — legal for the structural writer, which may
@@ -595,20 +576,7 @@ func (t *Tree) splitReferent(ls *latchSet, e *dirnode.Entry, m, stripM, level in
 			return out, err
 		}
 		ones := p.PartitionByBit(m, stripM+1, t.prm.Width)
-		write := func(half *datapage.Page) (pagestore.PageID, error) {
-			if half.Len() == 0 {
-				return pagestore.NilPage, nil
-			}
-			nid, err := t.allocPage()
-			if err != nil {
-				return pagestore.NilPage, err
-			}
-			return nid, t.writePage(nid, half)
-		}
-		if out.lo, err = write(p); err != nil {
-			return out, err
-		}
-		if out.hi, err = write(ones); err != nil {
+		if out.lo, out.hi, err = t.writePageHalves(p, ones); err != nil {
 			return out, err
 		}
 		*frees = append(*frees, e.Ptr)
@@ -623,24 +591,59 @@ func (t *Tree) splitReferent(ls *latchSet, e *dirnode.Entry, m, stripM, level in
 	if err != nil {
 		return out, err
 	}
-	caID, err := t.allocNode()
-	if err != nil {
+	if out.lo, out.hi, err = t.writeNodeHalves(ca, cb); err != nil {
 		return out, err
 	}
-	cbID, err := t.allocNode()
-	if err != nil {
-		return out, err
-	}
-	if err := t.writeNode(caID, ca); err != nil {
-		return out, err
-	}
-	if err := t.writeNode(cbID, cb); err != nil {
-		return out, err
-	}
-	t.nNodes.Add(1) // two nodes replace one (freed after commit)
 	*frees = append(*frees, e.Ptr)
-	out.lo, out.hi = caID, cbID
 	return out, nil
+}
+
+// writePageHalves writes the two halves of a data-page split to fresh
+// copy-on-write pages. An empty half gets no page: its id is NilPage and
+// its region becomes nil.
+func (t *Tree) writePageHalves(lo, hi *datapage.Page) (loID, hiID pagestore.PageID, err error) {
+	write := func(half *datapage.Page) (pagestore.PageID, error) {
+		if half.Len() == 0 {
+			return pagestore.NilPage, nil
+		}
+		id, err := t.allocPage()
+		if err != nil {
+			return pagestore.NilPage, err
+		}
+		return id, t.writePage(id, half)
+	}
+	if loID, err = write(lo); err != nil {
+		return loID, hiID, err
+	}
+	hiID, err = write(hi)
+	return loID, hiID, err
+}
+
+// writeNodeHalves is writePageHalves for the two siblings of a node split:
+// a sibling with no live region gets no page. nNodes counts the siblings
+// written against the node they replace, which the caller frees after the
+// commit.
+func (t *Tree) writeNodeHalves(a, b *dirnode.Node) (aID, bID pagestore.PageID, err error) {
+	written := int64(0)
+	write := func(half *dirnode.Node) (pagestore.PageID, error) {
+		if allNil(half) {
+			return pagestore.NilPage, nil
+		}
+		id, err := t.allocNode()
+		if err != nil {
+			return pagestore.NilPage, err
+		}
+		written++
+		return id, t.writeNode(id, half)
+	}
+	if aID, err = write(a); err != nil {
+		return aID, bID, err
+	}
+	if bID, err = write(b); err != nil {
+		return aID, bID, err
+	}
+	t.nNodes.Add(written - 1)
+	return aID, bID, nil
 }
 
 // cloneShape returns a node with the same level, depths and element count

@@ -24,6 +24,11 @@ func TestRunNoiseShapes(t *testing.T) {
 	if last["MDEH"] < 10*last["BMEH-Tree"] {
 		t.Errorf("MDEH did not degenerate: %d vs BMEH %d", last["MDEH"], last["BMEH-Tree"])
 	}
+	// A node split gives its empty half no page, so the balanced tree's
+	// directory stays within a small factor of the MEH-tree's.
+	if last["BMEH-Tree"] > 2*last["MEH-Tree"] {
+		t.Errorf("BMEH directory %d exceeds twice the MEH-tree's %d", last["BMEH-Tree"], last["MEH-Tree"])
+	}
 	// Tree schemes grow roughly linearly: the last sample is within ~6× of
 	// the first (4× more keys).
 	for _, label := range []string{"MEH-Tree", "BMEH-Tree"} {
