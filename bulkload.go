@@ -15,9 +15,6 @@ type BulkOptions struct {
 	MemoryBudget int64
 	// SpillDir is where spill files go (default: the OS temp dir).
 	SpillDir string
-	// Workers bounds the goroutines building root subtrees in parallel;
-	// zero means GOMAXPROCS.
-	Workers int
 }
 
 // BulkStats reports what a BulkLoad did.
@@ -47,11 +44,12 @@ const bulkCheckpointPages = 8192
 // BulkLoad ingests every record the iterator yields by building the tree
 // bottom-up from a sorted run instead of inserting top-down: records are
 // sorted by pseudo-key (spilling to temp files past the memory budget),
-// carved into data pages sequentially, and the directory constructed
-// above them with one worker per root subtree — no splits, and the §4
-// access bound holds on the result by construction. Records already in
-// the index are folded into the rebuild and keep their values when the
-// stream duplicates their keys.
+// carved sequentially into the data pages insertion would make, and the
+// directory grouped above them one level at a time — no splits. At
+// symmetric NodeBits (the default) the directory is the one inserting
+// the same records leaves, so the §4 access bound holds on it. Records
+// already in the index are folded into the rebuild and keep their values
+// when the stream duplicates their keys.
 //
 // next returns one record per call and ok=false at end of stream; the
 // record is consumed before the next call. The iterator is drained
@@ -87,7 +85,6 @@ func (ix *Index) BulkLoad(next func() (KV, bool, error), opts BulkOptions) (Bulk
 	copts := core.BulkOptions{
 		MemoryBudget: opts.MemoryBudget,
 		SpillDir:     opts.SpillDir,
-		Workers:      opts.Workers,
 	}
 	if ix.file != nil {
 		// Bound staged-page memory on long loads: flush through the WAL

@@ -111,7 +111,7 @@ func TestBulkLoadConcurrentReads(t *testing.T) {
 			}
 		}
 	}()
-	if _, err := ix.BulkLoad(bulkIter(10000), BulkOptions{Workers: 2}); err != nil {
+	if _, err := ix.BulkLoad(bulkIter(10000), BulkOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)

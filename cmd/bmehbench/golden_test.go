@@ -14,10 +14,10 @@ import (
 )
 
 // TestReproductionGolden pins the published reproduction: full-size Table
-// 2, the φ ablation and the §3 noise run must print exactly their sections
-// of docs/results-full.txt, so a change to any reported figure (ρ's access
-// accounting included) fails here. CI diffs the whole -all output against
-// the same file.
+// 2, the φ ablation, the §3 noise run and the bulk-against-insert rows
+// must print exactly their sections of docs/results-full.txt, so a change
+// to any reported figure (ρ's access accounting included) fails here. CI
+// diffs the whole -all output against the same file.
 func TestReproductionGolden(t *testing.T) {
 	golden, err := os.ReadFile("../../docs/results-full.txt")
 	if err != nil {
@@ -27,6 +27,7 @@ func TestReproductionGolden(t *testing.T) {
 		"table2":   {"-table", "2", "-q"},
 		"ablation": {"-ablation", "-q"},
 		"noise":    {"-noise", "-q"},
+		"bulk":     {"-bulk", "-q"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()

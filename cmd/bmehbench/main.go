@@ -11,6 +11,7 @@
 //	bmehbench -rangecost           # Theorem 4 experiment
 //	bmehbench -ablation            # BMEH node-size (φ) sweep
 //	bmehbench -noise               # §3 degeneration experiment
+//	bmehbench -bulk                # BulkLoad's directory against Insert's
 //	bmehbench -figure 6 -csv       # growth curve as CSV
 //	bmehbench -table 2 -n 8000     # scaled-down run
 //
@@ -34,6 +35,7 @@ func main() {
 		rangeCost = flag.Bool("rangecost", false, "run the Theorem 4 range-cost experiment")
 		ablation  = flag.Bool("ablation", false, "run the BMEH-tree node-size (φ) sweep")
 		noise     = flag.Bool("noise", false, "run the §3 degeneration experiment (noise-burst keys)")
+		bulk      = flag.Bool("bulk", false, "compare BulkLoad's directory with Insert's on Tables 2-4's workloads")
 		asCSV     = flag.Bool("csv", false, "emit figures as CSV for external plotting")
 		all       = flag.Bool("all", false, "run every table, figure and extra experiment")
 		n         = flag.Int("n", 40000, "keys to insert per run (paper: 40000)")
@@ -109,6 +111,15 @@ func main() {
 		sim.FormatNoise(os.Stdout, pts)
 		fmt.Println()
 	}
+	runBulk := func() {
+		ran = true
+		rows, err := sim.RunBulk(*n, *seed, func(cfg sim.Config) {
+			progress("bulk: %d-d %v ξ=%v b=%d...\n", cfg.Dims, cfg.Dist, cfg.Params().Xi, cfg.Capacity)
+		})
+		fail(err)
+		sim.FormatBulk(os.Stdout, *n, rows)
+		fmt.Println()
+	}
 
 	switch {
 	case *all:
@@ -121,6 +132,7 @@ func main() {
 		runRange()
 		runAblation()
 		runNoise()
+		runBulk()
 	default:
 		if *table != 0 {
 			runTable(*table)
@@ -136,6 +148,9 @@ func main() {
 		}
 		if *noise {
 			runNoise()
+		}
+		if *bulk {
+			runBulk()
 		}
 	}
 	if !ran {

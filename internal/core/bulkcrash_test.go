@@ -71,7 +71,7 @@ func TestCrashMatrixBulkLoad(t *testing.T) {
 		if armAt >= 0 {
 			cd.Arm(armAt, mode)
 		}
-		if _, err := tr.BulkLoad(iter(inc), BulkOptions{Workers: 2}); err != nil {
+		if _, err := tr.BulkLoad(iter(inc), BulkOptions{}); err != nil {
 			return preWrites, err
 		}
 		return preWrites, commit()

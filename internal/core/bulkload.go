@@ -2,15 +2,12 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"sort"
 
 	"bmeh/internal/bitkey"
 	"bmeh/internal/datapage"
 	"bmeh/internal/dirnode"
 	"bmeh/internal/pagestore"
-	"bmeh/internal/params"
 )
 
 // BulkOptions tunes Tree.BulkLoad.
@@ -22,14 +19,11 @@ type BulkOptions struct {
 	// SpillDir is where spill files go (default: the OS temp dir). Files
 	// are unlinked at creation, so nothing survives the process.
 	SpillDir string
-	// Workers bounds the goroutines building root subtrees in parallel;
-	// zero means GOMAXPROCS.
-	Workers int
-	// Checkpoint, when non-nil, is called between root-subtree builds so
-	// the caller can flush staged pages to bound memory. A mid-build
-	// flush persists only unreferenced fresh pages (the root swap has not
-	// happened), so a crash after one costs orphaned space, never
-	// consistency.
+	// Checkpoint, when non-nil, is called after each data page the build
+	// writes, so the caller can flush staged pages to bound memory. A
+	// mid-build flush persists only unreferenced fresh pages (the root
+	// swap has not happened), so a crash after one costs orphaned space,
+	// never consistency.
 	Checkpoint func() error
 }
 
@@ -55,8 +49,10 @@ type BulkStats struct {
 // plus every record the iterator yields, building the structure bottom-up
 // from a sorted run: records are sorted by pseudo-key (z-code), carved
 // into data pages in one sequential pass, and the directory levels
-// constructed above them — no splits, no restructuring, and the §4
-// balance bound holds on the result by construction.
+// grouped above them one level at a time — no splits, no restructuring.
+// The directory is the one the §3.1 insertion algorithm leaves for the
+// same records whenever ξ is symmetric, so the §4 balance bound holds on
+// the result by the same argument.
 //
 // next returns one record per call and ok=false when the stream ends; the
 // key vector is consumed before the next call and not retained. The
@@ -75,9 +71,6 @@ func (t *Tree) BulkLoad(next func() (bitkey.Vector, uint64, bool, error), opts B
 	}
 	if opts.MemoryBudget <= 0 {
 		opts.MemoryBudget = 256 << 20
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	bs := newBulkSorter(z, opts.MemoryBudget, opts.SpillDir)
 	defer bs.close()
@@ -144,14 +137,11 @@ func (t *Tree) BulkLoad(next func() (bitkey.Vector, uint64, bool, error), opts B
 
 	bb := &bulkBuilder{
 		t:          t,
-		run:        run,
 		z:          z,
-		bounds:     bulkBands(t.prm),
 		b:          t.prm.Capacity,
-		sem:        make(chan struct{}, opts.Workers),
 		checkpoint: opts.Checkpoint,
 	}
-	rootID, rootNode, err := bb.buildRoot()
+	rootID, rootNode, err := bb.build(run)
 	if err != nil {
 		bb.freeAllocs()
 		return stats, err
@@ -161,8 +151,8 @@ func (t *Tree) BulkLoad(next func() (bitkey.Vector, uint64, bool, error), opts B
 		return stats, fmt.Errorf("bulk: built %d levels, §4 bound allows %d", rootNode.Level, t.prm.MaxLevels())
 	}
 	stats.Levels = rootNode.Level
-	stats.DataPages = bb.pages.Load()
-	stats.DirNodes = bb.nodes.Load()
+	stats.DataPages = bb.pages
+	stats.DirNodes = bb.nodes
 
 	// Commit in memory: swap the root, update counters, release the old
 	// structure. In-flight optimistic searches see structVer move and
@@ -179,7 +169,7 @@ func (t *Tree) BulkLoad(next func() (bitkey.Vector, uint64, bool, error), opts B
 		t.rc.installAt(rootID, rootNode, newEpoch, run.n)
 		t.structVer.Add(1)
 		t.pageEpoch.Add(1)
-		t.nNodes.Store(bb.nodes.Load())
+		t.nNodes.Store(bb.nodes)
 		t.n.Store(run.n)
 		t.structMu.Unlock()
 		retired := make([]pagestore.PageID, 0, len(oldPages)+len(oldNodes)+1)
@@ -191,7 +181,7 @@ func (t *Tree) BulkLoad(next func() (bitkey.Vector, uint64, bool, error), opts B
 	}
 	t.structMu.Lock()
 	t.installRoot(rootID, rootNode)
-	t.nNodes.Store(bb.nodes.Load())
+	t.nNodes.Store(bb.nodes)
 	t.n.Store(run.n)
 	t.structMu.Unlock()
 	for _, id := range oldPages {
@@ -210,36 +200,6 @@ func (t *Tree) BulkLoad(next func() (bitkey.Vector, uint64, bool, error), opts B
 	return stats, nil
 }
 
-// bulkBands returns the split-step boundaries of the directory levels:
-// bounds[i] is the first split step band i handles, band 0 belonging to
-// the root. A band ends when the next round-robin split would push some
-// dimension's depth past ξ_j within one node.
-func bulkBands(prm params.Params) []int {
-	d, w := prm.Dims, prm.Width
-	bounds := []int{0}
-	depth := make([]int, d)
-	for s := 0; s < d*w; s++ {
-		r := s % d
-		if depth[r]+1 > prm.Xi[r] {
-			bounds = append(bounds, s)
-			for j := range depth {
-				depth[j] = 0
-			}
-		}
-		depth[r]++
-	}
-	return bounds
-}
-
-// bandIndex returns which band split step s belongs to.
-func bandIndex(bounds []int, s int) int {
-	i := 0
-	for i+1 < len(bounds) && bounds[i+1] <= s {
-		i++
-	}
-	return i
-}
-
 // matThreshold is the subtree size (records) below which a file-backed
 // run range is materialized in memory, so deep recursion and page
 // emission read RAM instead of issuing per-probe ReadAts.
@@ -254,7 +214,7 @@ type runView struct {
 }
 
 func (v *runView) narrow(lo, hi int64) (*runView, error) {
-	if v.mem != nil || v.r.mem != nil || hi-lo > matThreshold {
+	if v.mem != nil || hi-lo > matThreshold {
 		return v, nil
 	}
 	m, err := v.r.slice(lo, hi)
@@ -299,15 +259,29 @@ func (v *runView) records(lo, hi int64) ([]uint64, error) {
 	return v.r.slice(lo, hi)
 }
 
-// bulkSlot is one region of the node under construction: the records in
-// [its range], pinned at depth h (per dimension) with index prefix pre.
-type bulkSlot struct {
-	h    dirnode.LocalDepths
-	pre  []uint64
-	m    uint8
-	ptr  pagestore.PageID
-	node bool
-	task func() (pagestore.PageID, bool, error) // deferred child build (root level only)
+// bulkLevel lists the regions of one directory level in z-order: the
+// data pages of the carving at level 1, the nodes of the pass below
+// above that. Region i is the box of the split-bit trie reached after
+// steps[i] split bits along the first steps[i] bits of code(i) (later
+// bits are never read), held by page or node ptrs[i], or NilPage for an
+// empty box.
+type bulkLevel struct {
+	k     int // code words per region
+	steps []int
+	codes []uint64
+	ptrs  []pagestore.PageID
+}
+
+func (l *bulkLevel) add(step int, code []uint64, ptr pagestore.PageID) {
+	l.steps = append(l.steps, step)
+	l.codes = append(l.codes, code...)
+	l.ptrs = append(l.ptrs, ptr)
+}
+
+func (l *bulkLevel) code(i int) []uint64 { return l.codes[i*l.k : (i+1)*l.k] }
+
+func (l *bulkLevel) bit(i, s int) uint64 {
+	return (l.codes[i*l.k+s/64] >> uint(63-s%64)) & 1
 }
 
 type allocRec struct {
@@ -315,38 +289,23 @@ type allocRec struct {
 	node bool
 }
 
-// bulkBuilder carves the sorted run into pages and builds the directory
-// bottom-up. Alloc/Write go straight through the page stores (never the
-// decoded caches: every ID is fresh), so subtree builds can run on
-// multiple goroutines.
+// bulkBuilder carves the sorted run into pages and groups the directory
+// above them. Alloc/Write go straight through the page stores (never the
+// decoded caches: every ID is fresh).
 type bulkBuilder struct {
-	t      *Tree
-	run    *bulkRun
-	z      zcodec
-	bounds []int
-	b      int // page capacity
-
-	sem        chan struct{}
+	t          *Tree
+	z          zcodec
+	b          int // page capacity
 	checkpoint func() error
 
-	mu     sync.Mutex
-	allocs []allocRec
-	pages  atomic.Int64
-	nodes  atomic.Int64
-}
-
-func (bb *bulkBuilder) track(id pagestore.PageID, node bool) {
-	bb.mu.Lock()
-	bb.allocs = append(bb.allocs, allocRec{id, node})
-	bb.mu.Unlock()
+	allocs       []allocRec
+	pages, nodes int64
 }
 
 // freeAllocs releases everything the build allocated (error path only;
 // the frees stay staged like the writes, so an aborted build leaves the
 // store exactly as it was).
 func (bb *bulkBuilder) freeAllocs() {
-	bb.mu.Lock()
-	defer bb.mu.Unlock()
 	for _, a := range bb.allocs {
 		if a.node {
 			_ = bb.t.nodes.Free(a.id)
@@ -357,298 +316,196 @@ func (bb *bulkBuilder) freeAllocs() {
 	bb.allocs = nil
 }
 
-// buildRoot builds the whole tree and returns the root's page ID and
-// decoded node.
-func (bb *bulkBuilder) buildRoot() (pagestore.PageID, *dirnode.Node, error) {
-	maxStep, err := bb.run.maxLeafStep(bb.b)
-	if err != nil {
+// build carves the run into data pages, then groups each level into the
+// nodes of the level above until one node — the root — covers the whole
+// key space. It returns the root's page ID and decoded node.
+func (bb *bulkBuilder) build(run *bulkRun) (pagestore.PageID, *dirnode.Node, error) {
+	regions := &bulkLevel{k: bb.z.k}
+	v := &runView{r: run, mem: run.mem}
+	if err := bb.carve(v, 0, run.n, 0, make([]uint64, bb.z.k), regions); err != nil {
 		return 0, nil, err
 	}
-	levels := 1
-	if maxStep > 0 {
-		levels = bandIndex(bb.bounds, maxStep-1) + 1
+	for level := 1; ; level++ {
+		up := &bulkLevel{k: bb.z.k}
+		if err := bb.group(regions, 0, len(regions.steps), 0, level, up); err != nil {
+			return 0, nil, err
+		}
+		if len(up.steps) == 1 {
+			root, err := bb.t.nodes.Read(up.ptrs[0])
+			return up.ptrs[0], root, err
+		}
+		regions = up
 	}
-	v := &runView{r: bb.run}
-	if bb.run.mem != nil {
-		v.mem = bb.run.mem
-	}
-	id, err := bb.buildNode(v, 0, bb.run.n, 0, levels, true)
-	if err != nil {
-		return 0, nil, err
-	}
-	root, err := bb.t.nodes.Read(id)
-	if err != nil {
-		return 0, nil, err
-	}
-	return id, root, nil
 }
 
-// bandEnd returns the first split step past the band starting at s.
-func (bb *bulkBuilder) bandEnd(s int) int {
-	i := bandIndex(bb.bounds, s)
-	if i+1 < len(bb.bounds) {
-		return bb.bounds[i+1]
+// carve splits records [lo,hi), the box reached after s split bits along
+// path pre, on split bit s until each box holds at most b records — the
+// data pages insertion leaves, since a page splits exactly when it
+// overflows — and appends one region per box: its data page, or a nil
+// region for an empty box.
+func (bb *bulkBuilder) carve(v *runView, lo, hi int64, s int, pre []uint64, out *bulkLevel) error {
+	if hi-lo <= int64(bb.b) {
+		ptr := pagestore.NilPage
+		if hi > lo {
+			id, err := bb.emitPage(v, lo, hi)
+			if err != nil {
+				return err
+			}
+			ptr = id
+		}
+		out.add(s, pre, ptr)
+		return nil
 	}
-	return bb.t.prm.Dims * bb.t.prm.Width
-}
-
-// buildNode builds the directory node covering records [lo,hi) whose
-// path has consumed split steps [0,s); s is always a band boundary. At
-// the root (parallel=true) child-subtree builds are deferred and run on
-// the worker pool.
-func (bb *bulkBuilder) buildNode(v *runView, lo, hi int64, s, level int, parallel bool) (pagestore.PageID, error) {
+	if s == bb.z.d*bb.z.width {
+		return fmt.Errorf("bulk: internal: %d records share every key bit", hi-lo)
+	}
 	v, err := v.narrow(lo, hi)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	d := bb.t.prm.Dims
-	var slots []bulkSlot
-	h := make([]int, d)
-	pre := make([]uint64, d)
-	if err := bb.fill(v, lo, hi, s, bb.bandEnd(s), level, h, pre, parallel, &slots); err != nil {
-		return 0, err
-	}
-	if parallel {
-		if err := bb.runTasks(slots); err != nil {
-			return 0, err
-		}
-	}
-	return bb.makeNode(level, slots)
-}
-
-// runTasks executes the deferred child builds of the root's slots on the
-// worker pool, invoking the checkpoint hook as subtrees complete.
-func (bb *bulkBuilder) runTasks(slots []bulkSlot) error {
-	type done struct {
-		idx  int
-		ptr  pagestore.PageID
-		node bool
-		err  error
-	}
-	ch := make(chan done)
-	launched := 0
-	for i := range slots {
-		if slots[i].task == nil {
-			continue
-		}
-		launched++
-		go func(i int, task func() (pagestore.PageID, bool, error)) {
-			bb.sem <- struct{}{}
-			ptr, node, err := task()
-			<-bb.sem
-			ch <- done{i, ptr, node, err}
-		}(i, slots[i].task)
-		slots[i].task = nil
-	}
-	var firstErr error
-	for j := 0; j < launched; j++ {
-		m := <-ch
-		if m.err != nil {
-			if firstErr == nil {
-				firstErr = m.err
-			}
-			continue
-		}
-		slots[m.idx].ptr, slots[m.idx].node = m.ptr, m.node
-		if firstErr == nil && bb.checkpoint != nil {
-			if err := bb.checkpoint(); err != nil {
-				firstErr = err
-			}
-		}
-	}
-	return firstErr
-}
-
-// fill recursively splits [lo,hi) within the band [s,sEnd), appending one
-// slot per finished region. h and pre are the per-dimension depth and
-// index prefix accumulated inside this node; slots copy them on append.
-func (bb *bulkBuilder) fill(v *runView, lo, hi int64, s, sEnd, level int, h []int, pre []uint64, deferTasks bool, slots *[]bulkSlot) error {
-	d := bb.t.prm.Dims
-	appendSlot := func(ptr pagestore.PageID, isNode bool, task func() (pagestore.PageID, bool, error)) {
-		sl := bulkSlot{pre: append([]uint64(nil), pre...), m: uint8((s + d - 1) % d), ptr: ptr, node: isNode, task: task}
-		for j, hj := range h {
-			sl.h[j] = uint8(hj)
-		}
-		*slots = append(*slots, sl)
-	}
-	if hi-lo <= int64(bb.b) {
-		if hi == lo {
-			appendSlot(pagestore.NilPage, false, nil)
-			return nil
-		}
-		build := func() (pagestore.PageID, bool, error) {
-			return bb.pageOrChain(v, lo, hi, s, level-1)
-		}
-		if deferTasks {
-			appendSlot(pagestore.NilPage, false, build)
-			return nil
-		}
-		ptr, isNode, err := build()
-		if err != nil {
-			return err
-		}
-		appendSlot(ptr, isNode, nil)
-		return nil
-	}
-	if s == sEnd {
-		if level <= 1 {
-			return fmt.Errorf("bulk: internal: band exhausted at leaf level (lo=%d hi=%d s=%d)", lo, hi, s)
-		}
-		build := func() (pagestore.PageID, bool, error) {
-			id, err := bb.buildNode(v, lo, hi, s, level-1, false)
-			return id, true, err
-		}
-		if deferTasks {
-			appendSlot(pagestore.NilPage, true, build)
-			return nil
-		}
-		id, isNode, err := build()
-		if err != nil {
-			return err
-		}
-		appendSlot(id, isNode, nil)
-		return nil
-	}
-	r := s % d
 	mid, err := v.partition(lo, hi, s)
 	if err != nil {
 		return err
 	}
-	h[r]++
-	pre[r] <<= 1
-	if err := bb.fill(v, lo, mid, s+1, sEnd, level, h, pre, deferTasks, slots); err != nil {
+	if err := bb.carve(v, lo, mid, s+1, pre, out); err != nil {
 		return err
 	}
-	pre[r] |= 1
-	if err := bb.fill(v, mid, hi, s+1, sEnd, level, h, pre, deferTasks, slots); err != nil {
-		return err
+	bit := uint64(1) << uint(63-s%64)
+	pre[s/64] |= bit
+	err = bb.carve(v, mid, hi, s+1, pre, out)
+	pre[s/64] &^= bit
+	return err
+}
+
+// group makes one node of the box reached after s split bits when every
+// region in [lo,hi) of the level below lies within ξ_j bits of it in
+// every dimension, and otherwise splits the box on bit s and groups each
+// half, appending the resulting boxes to out. A box holding only empty
+// regions becomes a nil region of the level above, except the root's.
+//
+// Insertion leaves the same boxes at symmetric ξ: a node splits only when
+// a region below it overflows ξ, it splits on its box's next trie bit
+// (the first dimension to overflow is the one split step s uses), and
+// regions only ever deepen, so the nodes left are the maximal trie boxes
+// that fit, whatever the insert order.
+func (bb *bulkBuilder) group(in *bulkLevel, lo, hi, s, level int, out *bulkLevel) error {
+	deepest := s
+	for _, st := range in.steps[lo:hi] {
+		deepest = max(deepest, st)
 	}
-	pre[r] >>= 1
-	h[r]--
+	if deepest > bb.reach(s) {
+		// More than one region: each lies past step s, so bit s is on
+		// its path.
+		mid := lo + sort.Search(hi-lo, func(i int) bool { return in.bit(lo+i, s) == 1 })
+		if err := bb.group(in, lo, mid, s+1, level, out); err != nil {
+			return err
+		}
+		return bb.group(in, mid, hi, s+1, level, out)
+	}
+	live := s == 0 // the root is a node even in an empty tree
+	for _, p := range in.ptrs[lo:hi] {
+		live = live || p != pagestore.NilPage
+	}
+	ptr := pagestore.NilPage
+	if live {
+		id, err := bb.makeNode(in, lo, hi, s, deepest, level)
+		if err != nil {
+			return err
+		}
+		ptr = id
+	}
+	out.add(s, in.code(lo), ptr)
 	return nil
 }
 
-// pageOrChain emits the data page for [lo,hi) and, when the leaf sits
-// above level 0 (its path ended before the lowest band), a chain of
-// single-entry pass-through nodes down to it, keeping the tree perfectly
-// height-balanced.
-func (bb *bulkBuilder) pageOrChain(v *runView, lo, hi int64, s, level int) (pagestore.PageID, bool, error) {
-	if level == 0 {
-		id, err := bb.emitPage(v, lo, hi)
-		return id, false, err
-	}
-	child, isNode, err := bb.pageOrChain(v, lo, hi, s, level-1)
-	if err != nil {
-		return 0, false, err
-	}
+// reach returns the deepest split step a region may sit at inside a node
+// whose box was reached after s split bits: step t adds one bit of
+// dimension t mod d, and a node indexes at most ξ_j bits of dimension j.
+func (bb *bulkBuilder) reach(s int) int {
 	d := bb.t.prm.Dims
-	n := dirnode.New(d, level)
-	n.Entries[0].Ptr = child
-	n.Entries[0].IsNode = isNode
-	n.Entries[0].M = uint8((s + d - 1) % d)
-	id, err := bb.t.nodes.Alloc()
-	if err != nil {
-		return 0, false, err
+	var h dirnode.LocalDepths
+	for t := s; ; t++ {
+		j := t % d
+		if int(h[j]) == bb.t.prm.Xi[j] {
+			return t
+		}
+		h[j]++
 	}
-	bb.track(id, true)
-	if err := bb.t.nodes.Write(id, n); err != nil {
-		return 0, false, err
-	}
-	bb.nodes.Add(1)
-	return id, true, nil
 }
 
 // emitPage decodes records [lo,hi) from the run and writes them as one
-// data page. The run is in z-order; the page keeps records in
-// lexicographic key order, so each record is placed by sorted insert.
+// data page. The run is in z-order and a page keeps its records in
+// lexicographic key order, so each record goes in by sorted insert.
 func (bb *bulkBuilder) emitPage(v *runView, lo, hi int64) (pagestore.PageID, error) {
 	recs, err := v.records(lo, hi)
 	if err != nil {
 		return 0, err
 	}
-	d := bb.t.prm.Dims
-	stride := bb.z.stride
-	n := int(hi - lo)
+	d, stride := bb.t.prm.Dims, bb.z.stride
 	p := datapage.New(d)
-	flat := make(bitkey.Vector, n*d)
-	page := make([]datapage.Record, n)
-	for i := 0; i < n; i++ {
-		rec := recs[i*stride : (i+1)*stride]
-		key := flat[i*d : (i+1)*d]
+	keys := make(bitkey.Vector, int(hi-lo)*d)
+	for i := range int(hi - lo) {
+		rec, key := recs[i*stride:(i+1)*stride], keys[i*d:(i+1)*d]
 		bb.z.decode(rec[:bb.z.k], key)
-		page[i] = datapage.Record{Key: key, Value: rec[bb.z.k+1]}
-	}
-	// Insertion sort into lexicographic key order (the run is in z-order;
-	// a page holds at most b records, so quadratic is the fast choice).
-	for i := 1; i < n; i++ {
-		r := page[i]
-		j := i - 1
-		for j >= 0 && r.Key.Less(page[j].Key) {
-			page[j+1] = page[j]
-			j--
-		}
-		page[j+1] = r
-	}
-	for i := range page {
-		p.InsertAt(i, page[i])
+		p.Insert(datapage.Record{Key: key, Value: rec[bb.z.k+1]})
 	}
 	id, err := bb.t.pages.Alloc()
 	if err != nil {
 		return 0, err
 	}
-	bb.track(id, false)
+	bb.allocs = append(bb.allocs, allocRec{id, false})
 	if err := bb.t.pages.Write(id, p); err != nil {
 		return 0, err
 	}
-	bb.pages.Add(1)
+	bb.pages++
+	if bb.checkpoint != nil {
+		return id, bb.checkpoint()
+	}
 	return id, nil
 }
 
-// makeNode assembles a directory node from its slots: node depths are the
-// per-dimension maxima, and each slot's entry is replicated across every
-// element its region covers.
-func (bb *bulkBuilder) makeNode(level int, slots []bulkSlot) (pagestore.PageID, error) {
+// makeNode writes the node of the box reached after s split bits that
+// holds regions [lo,hi) of the level below, the deepest at step deepest.
+// Its global depths are that region's local depths, and each region's
+// element — local depths and index prefix read off its path past s, and
+// the dimension of its last split bit as m — is replicated across every
+// element its box covers.
+func (bb *bulkBuilder) makeNode(in *bulkLevel, lo, hi, s, deepest, level int) (pagestore.PageID, error) {
 	d := bb.t.prm.Dims
 	n := dirnode.New(d, level)
-	H := make([]int, d)
-	for _, sl := range slots {
-		for j := 0; j < d; j++ {
-			if int(sl.h[j]) > H[j] {
-				H[j] = int(sl.h[j])
-			}
-		}
+	sum := deepest - s
+	for t := s; t < deepest; t++ {
+		n.Depths[t%d]++
 	}
-	sum := 0
-	for _, hj := range H {
-		sum += hj
-	}
-	n.Depths = H
 	n.Entries = make([]dirnode.Entry, 1<<sum)
+	pre := make([]uint64, d)
 	idx := make([]uint64, d)
-	for _, sl := range slots {
-		var place func(j int)
-		place = func(j int) {
-			if j == d {
-				q := n.Index(idx)
-				n.Entries[q] = dirnode.Entry{Ptr: sl.ptr, IsNode: sl.node, H: sl.h, M: sl.m}
-				return
-			}
-			fb := uint(H[j] - int(sl.h[j]))
-			for low := uint64(0); low < 1<<fb; low++ {
-				idx[j] = sl.pre[j]<<fb | low
-				place(j + 1)
-			}
+	for i := lo; i < hi; i++ {
+		e := dirnode.Entry{Ptr: in.ptrs[i], IsNode: level > 1 && in.ptrs[i] != pagestore.NilPage, M: uint8((in.steps[i] + d - 1) % d)}
+		clear(pre)
+		for t := s; t < in.steps[i]; t++ {
+			j := t % d
+			e.H[j]++
+			pre[j] = pre[j]<<1 | in.bit(i, t)
 		}
-		place(0)
+		for c := 0; c < 1<<(sum-(in.steps[i]-s)); c++ {
+			rest := uint64(c)
+			for j := d - 1; j >= 0; j-- {
+				free := uint(n.Depths[j] - int(e.H[j]))
+				idx[j] = pre[j]<<free | rest&(1<<free-1)
+				rest >>= free
+			}
+			n.Entries[n.Index(idx)] = e
+		}
 	}
 	id, err := bb.t.nodes.Alloc()
 	if err != nil {
 		return 0, err
 	}
-	bb.track(id, true)
+	bb.allocs = append(bb.allocs, allocRec{id, true})
 	if err := bb.t.nodes.Write(id, n); err != nil {
 		return 0, err
 	}
-	bb.nodes.Add(1)
+	bb.nodes++
 	return id, nil
 }

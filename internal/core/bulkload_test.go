@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bmeh/internal/bitkey"
+	"bmeh/internal/pagestore"
 	"bmeh/internal/params"
 	"bmeh/internal/workload"
 )
@@ -83,8 +84,48 @@ func TestBulkLoadBasic(t *testing.T) {
 	}
 }
 
+// TestBulkLoadMatchesInsert checks that at symmetric ξ the bulk build
+// leaves the directory insertion leaves: as many nodes, as many levels.
+func TestBulkLoadMatchesInsert(t *testing.T) {
+	for _, b := range []int{8, 32} {
+		for _, dist := range []struct {
+			name string
+			gen  *workload.Generator
+		}{
+			{"uniform", workload.Uniform(2, 1)},
+			{"normal", workload.Normal(2, 1<<30, 1<<28, 1)},
+		} {
+			keys := dist.gen.Take(40000)
+			t.Run(fmt.Sprintf("%s/b=%d", dist.name, b), func(t *testing.T) {
+				prm := params.Default(2, b)
+				inc, _ := newTree(t, prm)
+				for i, k := range keys {
+					if err := inc.Insert(k, uint64(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				bulk, _ := newTree(t, prm)
+				st, err := bulk.BulkLoad(sliceIter(keys, 0), BulkOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := bulk.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				if bulk.Nodes() != inc.Nodes() || bulk.Levels() != inc.Levels() {
+					t.Fatalf("bulk: %d nodes, %d levels; insert: %d nodes, %d levels",
+						bulk.Nodes(), bulk.Levels(), inc.Nodes(), inc.Levels())
+				}
+				if st.DirNodes != int64(bulk.Nodes()) {
+					t.Fatalf("BulkStats.DirNodes=%d, tree has %d nodes", st.DirNodes, bulk.Nodes())
+				}
+			})
+		}
+	}
+}
+
 // TestBulkLoadAccessBound is the §4 property test: the bulk-built tree is
-// no taller than the incrementally built one on the same keys, and every
+// as tall as the incrementally built one on the same keys, and every
 // exact-match search costs exactly (levels−1) node reads + 1 page read.
 func TestBulkLoadAccessBound(t *testing.T) {
 	prm := params.Default(2, 8)
@@ -98,14 +139,14 @@ func TestBulkLoadAccessBound(t *testing.T) {
 		}
 	}
 	bulk, st := newTree(t, prm)
-	if _, err := bulk.BulkLoad(sliceIter(keys, 0), BulkOptions{Workers: 4}); err != nil {
+	if _, err := bulk.BulkLoad(sliceIter(keys, 0), BulkOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := bulk.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if bulk.Levels() > inc.Levels() {
-		t.Fatalf("bulk tree taller than incremental: %d > %d", bulk.Levels(), inc.Levels())
+	if bulk.Levels() != inc.Levels() {
+		t.Fatalf("bulk tree has %d levels, incremental %d", bulk.Levels(), inc.Levels())
 	}
 	want := uint64(bulk.Levels()) // (levels−1) node reads + 1 page read
 	st.ResetStats()
@@ -242,10 +283,11 @@ func TestBulkLoadSpill(t *testing.T) {
 
 // TestBulkLoadThenMutate checks the bulk-built structure composes with the
 // incremental write path: inserts and deletes after a bulk load keep every
-// invariant.
+// invariant, and deleting every key reverses the build down to the empty
+// one-node tree, as it reverses insertion.
 func TestBulkLoadThenMutate(t *testing.T) {
 	prm := params.Default(2, 8)
-	tr, _ := newTree(t, prm)
+	tr, st := newTree(t, prm)
 	gen := workload.Uniform(2, 29)
 	keys := gen.Take(3000)
 	if _, err := tr.BulkLoad(sliceIter(keys[:2000], 0), BulkOptions{}); err != nil {
@@ -273,6 +315,20 @@ func TestBulkLoadThenMutate(t *testing.T) {
 			t.Fatalf("key %d: v=%d ok=%v err=%v", i, v, ok, err)
 		}
 	}
+	for i := 500; i < 3000; i++ {
+		if ok, err := tr.Delete(keys[i]); err != nil || !ok {
+			t.Fatalf("delete %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != 0 || tr.Levels() != 1 || tr.Nodes() != 1 {
+		t.Fatalf("after deleting every key: Len=%d Levels=%d Nodes=%d, want 0, 1, 1", tr.Len(), tr.Levels(), tr.Nodes())
+	}
+	if n := st.Allocated()[pagestore.KindData]; n != 0 {
+		t.Fatalf("%d data pages still allocated after deleting every key", n)
+	}
 }
 
 // TestBulkLoadPaperExample bulk-loads the paper's Table 1 keys under the
@@ -299,4 +355,72 @@ func TestBulkLoadPaperExample(t *testing.T) {
 			t.Fatalf("K%d: v=%d ok=%v err=%v", i+1, v, ok, err)
 		}
 	}
+}
+
+// FuzzBulkLoadMatchesInsert builds one tree by Insert and one by BulkLoad
+// from the same fuzzed keys and requires the same records, clean
+// invariants on both, and the same directory: as many nodes and levels.
+// The first byte picks the page capacity b ∈ {2, 4, 8}; every further
+// four bytes make a 2-d key whose components vary in their top and
+// bottom bytes, so small inputs reach deep, lopsided tries.
+func FuzzBulkLoadMatchesInsert(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0})
+	f.Add([]byte{2, 1, 2, 3, 4, 1, 2, 3, 4, 255, 0, 255, 0, 128, 7, 64, 9, 0, 1, 0, 2, 0, 3, 0, 4})
+	seed := make([]byte, 1, 1+4*300)
+	for _, k := range workload.Uniform(2, 3).Take(300) {
+		seed = append(seed, byte(k[0]>>24), byte(k[0]), byte(k[1]>>24), byte(k[1]))
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		prm := params.Default(2, []int{2, 4, 8}[data[0]%3])
+		data = data[1:]
+		if len(data) > 4*1024 {
+			data = data[:4*1024]
+		}
+		var keys []bitkey.Vector
+		for ; len(data) >= 4; data = data[4:] {
+			keys = append(keys, bitkey.Vector{
+				bitkey.Component(data[0])<<24 | bitkey.Component(data[1]),
+				bitkey.Component(data[2])<<24 | bitkey.Component(data[3]),
+			})
+		}
+		inc, _ := newTree(t, prm)
+		want := make(map[[2]bitkey.Component]uint64)
+		for i, k := range keys {
+			err := inc.Insert(k, uint64(i))
+			if err == ErrDuplicate {
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[[2]bitkey.Component{k[0], k[1]}] = uint64(i)
+		}
+		bulk, _ := newTree(t, prm)
+		if _, err := bulk.BulkLoad(sliceIter(keys, 0), BulkOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		for name, tr := range map[string]*Tree{"insert": inc, "bulk": bulk} {
+			if err := tr.Validate(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if tr.Len() != len(want) {
+				t.Fatalf("%s: Len=%d want %d", name, tr.Len(), len(want))
+			}
+			for k, v := range want {
+				got, ok, err := tr.Search(bitkey.Vector{k[0], k[1]})
+				if err != nil || !ok || got != v {
+					t.Fatalf("%s: key %v: v=%d ok=%v err=%v, want %d", name, k, got, ok, err, v)
+				}
+			}
+		}
+		if bulk.Nodes() != inc.Nodes() || bulk.Levels() != inc.Levels() {
+			t.Fatalf("bulk: %d nodes, %d levels; insert: %d nodes, %d levels",
+				bulk.Nodes(), bulk.Levels(), inc.Nodes(), inc.Levels())
+		}
+	})
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/bits"
 	"os"
 	"sort"
 
@@ -88,11 +87,6 @@ func (z zcodec) decode(code []uint64, key bitkey.Vector) {
 		}
 		key[j] = bitkey.Component(kj)
 	}
-}
-
-// bit returns split-string bit s of the record code at rec.
-func (z zcodec) bit(code []uint64, s int) uint64 {
-	return (code[s/64] >> uint(63-s%64)) & 1
 }
 
 // spread32 places bit i of x at bit 2i of the result (Morton interleave).
@@ -531,8 +525,7 @@ func (bs *bulkSorter) close() {
 
 // bulkRun is the sorted, deduplicated record sequence the builder
 // consumes: either fully in memory or backed by the merged spill file.
-// Random access is by record index; file access goes through ReadAt, so a
-// run may be read from several goroutines at once.
+// Random access is by record index; file access goes through ReadAt.
 type bulkRun struct {
 	z       zcodec
 	n       int64
@@ -588,80 +581,6 @@ func (r *bulkRun) bitAt(i int64, s int) (uint64, error) {
 		return 0, err
 	}
 	return (w >> uint(63-s%64)) & 1, nil
-}
-
-// partition returns the first index in [lo,hi) whose split-string bit s
-// is 1 (records are sorted by code, so the range is 0s then 1s).
-func (r *bulkRun) partition(lo, hi int64, s int) (int64, error) {
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		bit, err := r.bitAt(mid, s)
-		if err != nil {
-			return 0, err
-		}
-		if bit == 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
-}
-
-// maxLeafStep returns the deepest split step any trie leaf of the run
-// needs: one past the longest common code prefix (in split-string bits)
-// shared by any b+1 consecutive records. A range of more than b records
-// must keep splitting while all its members share the current prefix, so
-// the deepest leaf sits exactly one bit past the longest such prefix. A
-// single sequential pass, no binary searches.
-func (r *bulkRun) maxLeafStep(b int) (int, error) {
-	if r.n <= int64(b) {
-		return 0, nil
-	}
-	z := r.z
-	maxBits := z.d * z.width
-	best := 0
-	// Stream two staggered windows: record i and record i+b.
-	var (
-		ra = make([]uint64, z.k)
-		rb = make([]uint64, z.k)
-	)
-	readCode := func(i int64, dst []uint64) error {
-		for w := 0; w < z.k; w++ {
-			v, err := r.codeWord(i, w)
-			if err != nil {
-				return err
-			}
-			dst[w] = v
-		}
-		return nil
-	}
-	// On the spilled path this issues 2 ReadAts per record; acceptable
-	// for the rare larger-than-memory case, free on the memory path.
-	for i := int64(0); i+int64(b) < r.n; i++ {
-		if err := readCode(i, ra); err != nil {
-			return 0, err
-		}
-		if err := readCode(i+int64(b), rb); err != nil {
-			return 0, err
-		}
-		lcp := 0
-		for w := 0; w < z.k; w++ {
-			if ra[w] == rb[w] {
-				lcp += 64
-				continue
-			}
-			lcp += bits.LeadingZeros64(ra[w] ^ rb[w])
-			break
-		}
-		if lcp+1 > best {
-			best = lcp + 1
-		}
-	}
-	if best > maxBits {
-		best = maxBits
-	}
-	return best, nil
 }
 
 // sanity guards for geometry the sorter cannot represent.

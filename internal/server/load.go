@@ -24,6 +24,10 @@ import (
 // committed. Only LOAD_COMMIT's response, sent after BulkLoad's root-swap
 // Sync returns, promises the records are durable — a crash before that
 // recovers the pre-load index, matching the core crash matrix.
+//
+// Ownership: on a clustered node every record must lie in the node's
+// pseudo-key range, as for PUT. One foreign key fails the whole load, so
+// nothing of it is stored.
 
 // loadIdleExpiry is how long a session may sit idle (no chunk, commit, or
 // resume) before a sweep reclaims it.
@@ -111,6 +115,9 @@ func (s *Server) openLoadSession() *loadSession {
 			}
 			kv := batch[i]
 			i++
+			if !s.shard.OwnsKey(kv.Key) {
+				return bmeh.KV{}, false, fmt.Errorf("load: key %v lies outside this shard's range", kv.Key)
+			}
 			return kv, true, nil
 		}, bmeh.BulkOptions{})
 		ls.result = loadResult{stats: st, err: err}

@@ -10,6 +10,7 @@ import (
 
 	"bmeh"
 	"bmeh/client"
+	"bmeh/internal/cluster"
 	"bmeh/internal/server"
 	"bmeh/internal/wire"
 )
@@ -271,5 +272,56 @@ func TestLoadReadOnly(t *testing.T) {
 	defer cl.Close()
 	if _, err := cl.Load(loadIter(10), client.LoadOptions{}); !errors.Is(err, client.ErrReadOnly) {
 		t.Fatalf("want ErrReadOnly, got %v", err)
+	}
+}
+
+// TestLoadRefusesForeignKeys checks a clustered node refuses a load that
+// carries a key outside its pseudo-key range: the whole load fails and
+// stores nothing, while a load of owned keys still commits.
+func TestLoadRefusesForeignKeys(t *testing.T) {
+	ix := newIndex(t, "mem")
+	defer ix.Close()
+	shard := cluster.NewShardState(2, 32)
+	m, err := cluster.Uniform([]cluster.Node{{Primary: "a"}, {Primary: "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := shard.Adopt(0, m); !ok {
+		t.Fatal("shard map not adopted")
+	}
+	_, addr := startServer(t, ix, server.Config{Shard: shard})
+	cl, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := ix.Insert(bmeh.Key{7, 7}, 7); err != nil {
+		t.Fatal(err)
+	}
+
+	// Shard 0 of two owns the prefixes whose top bit — the top bit of
+	// component 0 — is clear.
+	owned := loadIter(1000)
+	n := 0
+	mixed := func() (bmeh.KV, bool, error) {
+		n++
+		if n == 600 {
+			return bmeh.KV{Key: bmeh.Key{1<<31 | 5, 5}, Value: 5}, true, nil
+		}
+		return owned()
+	}
+	if _, err := cl.Load(mixed, client.LoadOptions{ChunkSize: 128}); err == nil {
+		t.Fatal("load with a foreign key committed")
+	}
+	if ix.Len() != 1 {
+		t.Fatalf("Len=%d after the refused load, want 1", ix.Len())
+	}
+
+	st, err := cl.Load(loadIter(1000), client.LoadOptions{ChunkSize: 128})
+	if err != nil {
+		t.Fatalf("load of owned keys: %v", err)
+	}
+	if st.Loaded != 1000 || ix.Len() != 1001 {
+		t.Fatalf("owned load: %+v, Len=%d", st, ix.Len())
 	}
 }
